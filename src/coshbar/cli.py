@@ -11,8 +11,8 @@ Configuration comes from an optional JSON document (--config) overridden by
 flags; units default to hbar = m = 1 so users specify only (omega, v0, k).
 CSV output carries a fixed column order, 17 significant digits, '.' decimal
 separator and LF line endings, so identical configs give byte-identical
-files.  COSHBAR_THREADS caps sweep parallelism (rows are computed in a
-thread pool but always written in input order).
+files.  Rows are computed and written in input order; a scatter sweep is
+one array computation over all its wavenumbers.
 
 Exit codes: 0 all residuals in contract, 1 residual/check failure,
 2 configuration error, 3 numerical failure (failed rows are flagged).
@@ -24,9 +24,7 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,6 +36,9 @@ from .params import PhysicalParams, reduce
 from .propagator import free_kernel, spectral_kernel
 from .scattering import (
     WaveSample,
+    _amplitude_arrays,
+    _check_closed_form,
+    _require_positive_kappa,
     _s_closed_form,
     amplitudes,
     asymptotic_extract,
@@ -143,22 +144,6 @@ def load_config(path: str) -> RunConfig:
     )
 
 
-def _thread_cap() -> int:
-    env = os.environ.get("COSHBAR_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
-
-
-def _parallel_map(fn, items):
-    """Map preserving input order; worker count capped by COSHBAR_THREADS."""
-    workers = min(_thread_cap(), max(1, len(items)))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # scatter
 # ---------------------------------------------------------------------------
@@ -170,55 +155,71 @@ SCATTER_COLUMNS = (
 ORACLE_COLUMNS = ("oracle_re_t", "oracle_im_t", "oracle_re_r", "oracle_im_r", "oracle_dev")
 
 
-def _scatter_row(cfg: RunConfig, k: float) -> dict:
-    p = cfg.params
-    idx = reduce(p, k)
-    row: dict = {"k": k, "kappa": idx.kappa, "v8": idx.v8, "flag": ""}
-    if k == 0.0:
-        # Documented zero-energy convention: gamma poles at k = 0; the
-        # physical limit is total reflection (free particle stays free).
-        t, r = (1.0 + 0j, 0j) if cfg.v0 == 0.0 else (0j, -1.0 + 0j)
-        row["flag"] = "limit"
-    else:
-        amp = amplitudes(idx)
-        t, r = amp.t, amp.r
-        s_function(idx)  # internal closed-form consistency check
+def _error_row(columns, exc: Exception, **keys) -> dict:
+    row = {col: math.nan for col in columns}
+    row.update(keys, flag=f"error: {exc}")
+    return row
+
+
+def _fill_amplitudes(row: dict, t: complex, r: complex) -> None:
     s = t + r
     row.update(
         re_t=t.real, im_t=t.imag, re_r=r.real, im_r=r.imag,
         t2=abs(t) ** 2, r2=abs(r) ** 2, re_s=s.real, im_s=s.imag,
         unitarity_residual=max(abs(abs(t) ** 2 + abs(r) ** 2 - 1.0), abs(abs(s) - 1.0)),
     )
-    if cfg.use_oracle:
-        if k == 0.0:
-            for col in ORACLE_COLUMNS:
-                row[col] = math.nan
-        else:
-            o = numerov_amplitudes(p, k, cfg.oracle)
-            row.update(
-                oracle_re_t=o.t.real, oracle_im_t=o.t.imag,
-                oracle_re_r=o.r.real, oracle_im_r=o.r.imag,
-                oracle_dev=max(abs(o.t - t), abs(o.r - r)),
-            )
-    return row
 
 
 def cmd_scatter(cfg: RunConfig) -> tuple[tuple[str, ...], list[dict], int]:
     """Sweep T/R/S over cfg.k_values.  Exit code 0 iff every unitarity
-    residual is below 1e-8 (numerical failures flag the row, exit 3)."""
+    residual is below 1e-8 (numerical failures flag the row, exit 3).
+
+    All k > 0 rows are computed by one array call over kappa, and the
+    closed-form S check runs once for the whole sweep."""
     if not cfg.k_values:
         raise ValueError("sweep is empty: give --k or --k-range (or sweep in the config)")
     columns = SCATTER_COLUMNS[:-1] + (ORACLE_COLUMNS if cfg.use_oracle else ()) + ("flag",)
-
-    def compute(k: float) -> dict:
+    p = cfg.params
+    barrier = reduce(p, 0.0)  # nu and v8 do not depend on k
+    rows: list[dict] = []
+    batch: list[int] = []  # indices of the rows computed from the gamma ratios
+    for k in cfg.k_values:
         try:
-            return _scatter_row(cfg, k)
-        except (NumericalError, ValueError) as exc:
-            row = {col: math.nan for col in columns}
-            row.update(k=k, flag=f"error: {exc}")
-            return row
-
-    rows = _parallel_map(compute, list(cfg.k_values))
+            idx = reduce(p, k)
+            if k != 0.0:
+                _require_positive_kappa(idx.kappa, "amplitudes")
+        except ValueError as exc:
+            rows.append(_error_row(columns, exc, k=k))
+            continue
+        row: dict = {"k": k, "kappa": idx.kappa, "v8": idx.v8, "flag": ""}
+        if k == 0.0:
+            # Documented zero-energy convention: gamma poles at k = 0; the
+            # physical limit is total reflection (free particle stays free).
+            _fill_amplitudes(row, *((1.0 + 0j, 0j) if cfg.v0 == 0.0 else (0j, -1.0 + 0j)))
+            row["flag"] = "limit"
+            if cfg.use_oracle:
+                row.update(dict.fromkeys(ORACLE_COLUMNS, math.nan))
+        else:
+            batch.append(len(rows))
+        rows.append(row)
+    if batch:
+        kappa = np.array([rows[i]["kappa"] for i in batch])
+        t, r = _amplitude_arrays(barrier.nu, kappa)
+        _check_closed_form(barrier.nu, kappa, t + r, barrier.v8)
+        for i, t_i, r_i in zip(batch, t.tolist(), r.tolist()):
+            _fill_amplitudes(rows[i], t_i, r_i)
+            if not cfg.use_oracle:
+                continue
+            try:
+                o = numerov_amplitudes(p, rows[i]["k"], cfg.oracle)
+            except (NumericalError, ValueError) as exc:
+                rows[i] = _error_row(columns, exc, k=rows[i]["k"])
+                continue
+            rows[i].update(
+                oracle_re_t=o.t.real, oracle_im_t=o.t.imag,
+                oracle_re_r=o.r.real, oracle_im_r=o.r.imag,
+                oracle_dev=max(abs(o.t - t_i), abs(o.r - r_i)),
+            )
     if any(str(row["flag"]).startswith("error") for row in rows):
         code = 3
     elif all(row["unitarity_residual"] < RESIDUAL_GATE for row in rows):
@@ -250,21 +251,19 @@ def cmd_wavefunction(cfg: RunConfig) -> tuple[tuple[str, ...], list[dict], dict 
     p = cfg.params
     idx = reduce(p, k)
 
-    def compute(x: float) -> dict:
+    rows = []
+    for x in cfg.x_values:
         try:
             w = wavefunctions(idx, p, x)
-            return {
-                "x": x,
-                "re_psi_right": w.psi_right.real, "im_psi_right": w.psi_right.imag,
-                "re_psi_left": w.psi_left.real, "im_psi_left": w.psi_left.imag,
-                "flag": "",
-            }
         except (NumericalError, ValueError) as exc:
-            row = {col: math.nan for col in WAVEFUNCTION_COLUMNS}
-            row.update(x=x, flag=f"error: {exc}")
-            return row
-
-    rows = _parallel_map(compute, list(cfg.x_values))
+            rows.append(_error_row(WAVEFUNCTION_COLUMNS, exc, x=x))
+            continue
+        rows.append({
+            "x": x,
+            "re_psi_right": w.psi_right.real, "im_psi_right": w.psi_right.imag,
+            "re_psi_left": w.psi_left.real, "im_psi_left": w.psi_left.imag,
+            "flag": "",
+        })
     failed = any(str(r["flag"]).startswith("error") for r in rows)
 
     asymptotics = None
@@ -327,9 +326,7 @@ def cmd_propagator(cfg: RunConfig) -> tuple[tuple[str, ...], list[dict], int]:
                 "rel_dev": abs(kv.value - ko) / abs(ko), "flag": "",
             }
         except (NumericalError, ValueError) as exc:
-            row = {col: math.nan for col in PROPAGATOR_COLUMNS}
-            row.update(xf=xf, xi=xi, tau=cfg.tau, flag=f"error: {exc}")
-            return row
+            return _error_row(PROPAGATOR_COLUMNS, exc, xf=xf, xi=xi, tau=cfg.tau)
 
     # First call fills the eigensystem cache; keep it sequential-safe.
     rows = [compute(pair) for pair in pairs]
@@ -365,7 +362,7 @@ def suite_unitarity(cfg: RunConfig) -> list[dict]:
     for v8, kappa, _p, idx in _grid_indices(cfg):
         amp = amplitudes(idx)
         s = s_function(idx)
-        closed = _s_closed_form(idx)
+        closed = complex(_s_closed_form(idx.nu, np.array([idx.kappa]))[0])
         tag = f"[v8={v8:g},kappa={kappa:g}]"
         cases.append(_case(f"flux{tag}", abs(amp.t2 + amp.r2 - 1.0), 1e-10))
         cases.append(_case(f"unitary-s{tag}", abs(abs(s) - 1.0), 1e-10))

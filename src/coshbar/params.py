@@ -96,6 +96,9 @@ def reduce(p: PhysicalParams, k: float) -> BarrierIndex:
     v8 = 8.0 * p.m * p.v0 / (p.hbar * p.omega) ** 2
     if v8 == 0.0:
         nu = 0j
+    elif v8 < 1.0:
+        # (-1 + sqrt(1 - v8)) / 2 rationalized: no cancellation as v8 -> 0.
+        nu = complex(-v8 / (2.0 * (1.0 + math.sqrt(1.0 - v8))))
     else:
         nu = (-1.0 + cmath.sqrt(complex(1.0 - v8))) / 2.0
     return BarrierIndex(kappa=kappa, v8=v8, nu=nu, mu=1j * kappa)

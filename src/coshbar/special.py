@@ -9,8 +9,11 @@ imaginary (or general complex) order,
     P_nu^mu(x) = [1/Gamma(1-mu)] * [(1+x)/(1-x)]^(mu/2)
                * F(-nu, nu+1; 1-mu; (1-x)/2).
 
+Log-gamma is scipy.special.loggamma behind a pole check; 2F1 and Legendre P
+are written here, because scipy has no Gauss 2F1 for complex parameters.
 All routines accept numpy arrays where it matters (the propagator sweeps
-hundreds of quadrature nodes at once) and plain scalars otherwise.
+hundreds of quadrature nodes at once, a scatter sweep every kappa at once)
+and plain scalars otherwise.
 """
 
 from __future__ import annotations
@@ -23,60 +26,8 @@ from .errors import ConvergenceError, DegenerateTransformError, PoleError
 
 __all__ = ["log_gamma", "hyp2f1", "legendre_P", "legendre_P_tanh"]
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_PI = math.log(math.pi)
-
-# Lanczos g and coefficients (15 terms, g = 607/128).  Relative accuracy of
-# exp(log_gamma) is ~1e-14 over the right half plane, comfortably past the
-# 12-digit contract for |z| <= 50.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = np.array(
-    [
-        0.99999999999999709182,
-        57.156235665862923517,
-        -59.597960355475491248,
-        14.136097974741747174,
-        -0.49191381609762019978,
-        0.33994649984811888699e-4,
-        0.46523628927048575665e-4,
-        -0.98374475304879564677e-4,
-        0.15808870322491248884e-3,
-        -0.21026444172410488319e-3,
-        0.21743961811521264320e-3,
-        -0.16431810653676389022e-3,
-        0.84418223983852743293e-4,
-        -0.26190838401581408670e-4,
-        0.36899182659531622704e-5,
-    ]
-)
-
 SERIES_MAX_TERMS = 10_000
 SERIES_RTOL = 1e-16
-
-
-def _lanczos_half_plane(z):
-    """log Gamma(z) for Re z >= 0.5 (array of complex)."""
-    s = np.full_like(z, _LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        s = s + _LANCZOS_C[i] / (z - 1.0 + i)
-    t = z + (_LANCZOS_G - 0.5)
-    return _LOG_SQRT_2PI + (z - 0.5) * np.log(t) - t + np.log(s)
-
-
-def _log_sin_pi(z):
-    """log sin(pi z), unwound so the reflection formula stays on the
-    principal analytic continuation of log-gamma.
-
-    For Im z >= 0:  sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}),
-    and |e^{2 i pi z}| <= 1 keeps the remaining log principal.  The lower
-    half plane follows by conjugation symmetry.
-    """
-    upper = np.imag(z) >= 0
-    zu = np.where(upper, z, np.conj(z))
-    w = -1j * math.pi * zu + np.log1p(-np.exp(2j * math.pi * zu)) + (
-        1j * math.pi / 2 - math.log(2.0)
-    )
-    return np.where(upper, w, np.conj(w))
 
 
 def _is_nonpositive_int(z) -> np.ndarray:
@@ -87,21 +38,19 @@ def _is_nonpositive_int(z) -> np.ndarray:
 def log_gamma(z):
     """Principal-branch log Gamma(z) for complex z (scalar or array).
 
-    Lanczos approximation on Re z >= 1/2, reflection through the unwound
-    log-sine otherwise.  Raises PoleError at z in {0, -1, -2, ...}.
+    scipy.special.loggamma, the analytic continuation with its branch cut on
+    the negative real axis; a scalar in gives a complex out, an array in an
+    array of the same shape.  Raises PoleError at z in {0, -1, -2, ...}.
     """
-    scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    za = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(_is_nonpositive_int(za)):
+    # Imported on first use: importing the package then loads only the grid
+    # oracle's scipy.linalg, and scipy.special (about 50 ms more) is paid by
+    # the first computation that needs it.
+    from scipy.special import loggamma
+
+    if np.any(_is_nonpositive_int(z)):
         raise PoleError(f"log_gamma pole at non-positive integer argument in {z!r}")
-    left = np.real(za) < 0.5
-    # Shift left-plane points so the Lanczos sum only ever sees Re >= 0.5.
-    z_right = np.where(left, 1.0 - za, za)
-    lg = _lanczos_half_plane(z_right)
-    if np.any(left):
-        refl = _LOG_PI - _log_sin_pi(za) - lg
-        lg = np.where(left, refl, lg)
-    return complex(lg[0]) if scalar else lg.reshape(np.shape(z))
+    lg = loggamma(np.asarray(z, dtype=complex))
+    return complex(lg) if np.ndim(z) == 0 else lg
 
 
 def _gauss_series(a, b, c, z):
@@ -140,20 +89,16 @@ def _exp_lg_sum(numerators, denominators):
     """exp(sum log_gamma(num) - sum log_gamma(den)), elementwise.
 
     A pole in a denominator sends the whole ratio to 0 (reciprocal gamma);
-    a pole in a numerator propagates as PoleError.
+    a pole in a numerator propagates as PoleError.  One log_gamma call
+    covers all numerators and one all denominators.
     """
-    shape = np.broadcast_shapes(*(np.shape(v) for v in (*numerators, *denominators)))
-    acc = np.zeros(shape, dtype=complex)
-    for v in numerators:
-        acc = acc + log_gamma(np.broadcast_to(np.asarray(v, dtype=complex), shape))
-    zero = np.zeros(shape, dtype=bool)
-    for v in denominators:
-        va = np.atleast_1d(np.broadcast_to(np.asarray(v, dtype=complex), shape).copy())
-        pole = _is_nonpositive_int(va)
-        zero |= pole.reshape(shape)
-        va[pole] = 1.0  # placeholder, masked to 0 below
-        acc = acc - log_gamma(va).reshape(shape)
-    return np.where(zero, 0.0, np.exp(acc))
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (*numerators, *denominators)))
+    num = np.stack(args[: len(numerators)])
+    den = np.stack(args[len(numerators) :])
+    pole = _is_nonpositive_int(den)
+    # 1.0 is a placeholder at each pole; those entries are masked to 0 below.
+    acc = log_gamma(num).sum(axis=0) - log_gamma(np.where(pole, 1.0, den)).sum(axis=0)
+    return np.where(pole.any(axis=0), 0.0, np.exp(acc))
 
 
 def _hyp2f1_core(a, b, c, z, one_minus_z):

@@ -1,4 +1,6 @@
 import json
+import logging
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,8 @@ from coshbar.cli import (
     load_config,
     main,
 )
+from coshbar.params import reduce
+from coshbar.scattering import amplitudes
 
 
 def test_scatter_free_sweep_fully_transparent():
@@ -36,6 +40,41 @@ def test_scatter_zero_wavenumber_limit_row():
     # free particle stays free even at k = 0
     _, rows0, _ = cmd_scatter(RunConfig(v0=0.0, k_values=(0.0,)))
     assert rows0[0]["re_t"] == 1.0 and rows0[0]["flag"] == "limit"
+
+
+def test_scatter_batch_rows_equal_scalar_amplitudes():
+    # The sweep is one array call; each row must be the scalar API's value
+    # bit for bit, and a k = 0 row inside the sweep keeps its limit flag.
+    ks = (0.0, 1e-9, 0.3, 1.0, 7.5, 80.0)
+    cfg = RunConfig(v0=0.25, k_values=ks)
+    _, rows, code = cmd_scatter(cfg)
+    assert code == 0
+    assert [row["k"] for row in rows] == list(ks)
+    assert rows[0]["flag"] == "limit"
+    for row in rows[1:]:
+        amp = amplitudes(reduce(cfg.params, row["k"]))
+        assert row["flag"] == ""
+        assert (row["re_t"], row["im_t"], row["re_r"], row["im_r"]) == (
+            amp.t.real, amp.t.imag, amp.r.real, amp.r.imag,
+        )
+        assert (row["t2"], row["r2"]) == (amp.t2, amp.r2)
+        assert complex(row["re_s"], row["im_s"]) == amp.s
+
+
+def test_scatter_checks_closed_form_once_per_sweep(caplog):
+    with caplog.at_level(logging.DEBUG, logger="coshbar.scattering"):
+        cmd_scatter(RunConfig(v0=0.25, k_values=(0.0, 0.5, 1.0, 2.0)))
+    records = [r for r in caplog.records if "closed form" in r.getMessage()]
+    assert len(records) == 1
+    assert records[0].levelno == logging.DEBUG  # worst deviation within 1e-10
+    assert "over 3 kappa" in records[0].getMessage()
+
+
+def test_scatter_bad_rows_are_flagged_in_place():
+    _, rows, code = cmd_scatter(RunConfig(v0=0.25, k_values=(1.0, -1.0, 0.0, 2.0)))
+    assert code == 3
+    assert [row["flag"][:5] for row in rows] == ["", "error", "limit", ""]
+    assert math.isnan(rows[1]["re_t"]) and rows[1]["k"] == -1.0
 
 
 def test_scatter_oracle_columns():
@@ -200,16 +239,6 @@ def test_json_output_schema(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc) == {"columns", "rows"}
     assert doc["rows"][0]["t2"] == pytest.approx(0.9549222767550369)
-
-
-def test_thread_cap_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("COSHBAR_THREADS", "2")
-    out1 = tmp_path / "t2.csv"
-    assert main(["scatter", "--v0", "0.25", "--k-range", "0.2:2:9", "--out", str(out1)]) == 0
-    monkeypatch.setenv("COSHBAR_THREADS", "1")
-    out2 = tmp_path / "t1.csv"
-    assert main(["scatter", "--v0", "0.25", "--k-range", "0.2:2:9", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_cli_subprocess_smoke(tmp_path):

@@ -55,6 +55,17 @@ def test_weak_barrier_degree_real_in_branch(v8):
     assert -0.5 < nu.real <= 0.0
 
 
+def test_weak_barrier_degree_has_no_cancellation():
+    # nu = -v8/4 - v8^2/16 - ... ; the naive (-1 + sqrt(1 - v8))/2 keeps
+    # only about two digits of it at v8 = 1e-14.
+    v8 = 1e-14
+    idx = reduce(make_params(v8), 1.0)
+    assert idx.v8 == v8
+    ref = -v8 / 4 - v8**2 / 16
+    assert abs(idx.nu - ref) <= 1e-15 * abs(ref)
+    assert idx.nu.imag == 0.0
+
+
 def test_reduction_depends_only_on_dimensionless_groups():
     # Two physically different parameter sets sharing (v8, kappa) reduce
     # identically.
