@@ -16,9 +16,15 @@ from .errors import (
     PoleError,
     StepTooCoarseError,
 )
-from .oracle import SolverConfig, grid_propagator, numerov_amplitudes, numerov_once
+from .oracle import (
+    SolverConfig,
+    grid_propagator,
+    grid_propagator_matrix,
+    numerov_amplitudes,
+    numerov_once,
+)
 from .params import BarrierIndex, PhysicalParams, reduce
-from .propagator import KernelValue, free_kernel, spectral_kernel
+from .propagator import KernelValue, free_kernel, spectral_kernel, spectral_kernel_matrix
 from .scattering import (
     Amplitudes,
     ConnectionCoefficients,
@@ -49,8 +55,10 @@ __all__ = [
     "numerov_amplitudes",
     "numerov_once",
     "grid_propagator",
+    "grid_propagator_matrix",
     "KernelValue",
     "spectral_kernel",
+    "spectral_kernel_matrix",
     "free_kernel",
     "log_gamma",
     "hyp2f1",

@@ -30,10 +30,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .errors import NumericalError
-from .oracle import SolverConfig, grid_propagator, numerov_amplitudes
+from .errors import NumericalError, unwrap
+from .oracle import SolverConfig, grid_propagator_matrix, numerov_amplitudes
 from .params import PhysicalParams, reduce
-from .propagator import free_kernel, spectral_kernel
+from .propagator import free_kernel, spectral_kernel, spectral_kernel_matrix
 from .scattering import (
     WaveSample,
     _amplitude_arrays,
@@ -306,30 +306,30 @@ def _propagator_box(cfg: RunConfig) -> tuple[float, int]:
 def cmd_propagator(cfg: RunConfig) -> tuple[tuple[str, ...], list[dict], int]:
     """Euclidean kernel on the (xf, xi) grid cfg.points x cfg.points at
     cfg.tau, with the grid-Hamiltonian oracle value and relative deviation
-    per row."""
+    per row.  Each side is one matrix call; an entry that fails flags its
+    own row (keeping k_spectral when only the oracle failed), and bad input
+    raises before any row is computed."""
     if cfg.tau <= 0:
         raise ValueError(f"tau must be > 0, got {cfg.tau}")
     if not cfg.points:
         raise ValueError("propagator needs at least one point: give --points")
     p = cfg.params
     L, N = _propagator_box(cfg)
-    pairs = [(xf, xi) for xf in cfg.points for xi in cfg.points]
-
-    def compute(pair: tuple[float, float]) -> dict:
-        xf, xi = pair
-        try:
-            kv = spectral_kernel(p, xf, xi, cfg.tau)
-            ko = grid_propagator(p, L, N, cfg.tau, xf, xi)
-            return {
-                "xf": xf, "xi": xi, "tau": cfg.tau,
-                "k_spectral": kv.value, "k_oracle": ko,
-                "rel_dev": abs(kv.value - ko) / abs(ko), "flag": "",
-            }
-        except (NumericalError, ValueError) as exc:
-            return _error_row(PROPAGATOR_COLUMNS, exc, xf=xf, xi=xi, tau=cfg.tau)
-
-    # First call fills the eigensystem cache; keep it sequential-safe.
-    rows = [compute(pair) for pair in pairs]
+    spectral = spectral_kernel_matrix(p, cfg.points, cfg.points, cfg.tau)
+    oracle = grid_propagator_matrix(p, L, N, cfg.tau, cfg.points, cfg.points)
+    rows = []
+    for xf, spectral_row, oracle_row in zip(cfg.points, spectral, oracle):
+        for xi, kv, ko in zip(cfg.points, spectral_row, oracle_row):
+            keys = {"xf": xf, "xi": xi, "tau": cfg.tau}
+            if isinstance(kv, Exception):
+                rows.append(_error_row(PROPAGATOR_COLUMNS, kv, **keys))
+            elif isinstance(ko, Exception):
+                rows.append(_error_row(PROPAGATOR_COLUMNS, ko, **keys, k_spectral=kv.value))
+            else:
+                rows.append({
+                    **keys, "k_spectral": kv.value, "k_oracle": ko,
+                    "rel_dev": abs(kv.value - ko) / abs(ko), "flag": "",
+                })
     failed = any(str(r["flag"]).startswith("error") for r in rows)
     return PROPAGATOR_COLUMNS, rows, (3 if failed else 0)
 
@@ -485,10 +485,12 @@ def suite_propagator(cfg: RunConfig) -> list[dict]:
 
     L = 6.0 / cfg.omega
     N = cfg.oracle.grid_points or 1200
-    for xf in (-0.5, 0.0, 0.5):
-        for xi in (-0.5, 0.0, 0.5):
-            kv = spectral_kernel(p2, xf / cfg.omega, xi / cfg.omega, 1.0)
-            ko = grid_propagator(p2, L, N, 1.0, xf / cfg.omega, xi / cfg.omega)
+    points = [x / cfg.omega for x in (-0.5, 0.0, 0.5)]
+    spectral = spectral_kernel_matrix(p2, points, points, 1.0)
+    oracle = grid_propagator_matrix(p2, L, N, 1.0, points, points)
+    for a, xf in enumerate((-0.5, 0.0, 0.5)):
+        for b, xi in enumerate((-0.5, 0.0, 0.5)):
+            kv, ko = unwrap(spectral[a][b]), unwrap(oracle[a][b])
             cases.append(
                 _case(f"grid-oracle[v8=2,xf={xf:g},xi={xi:g}]", abs(kv.value - ko) / ko, 1e-3)
             )

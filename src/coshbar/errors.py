@@ -30,3 +30,11 @@ class StepTooCoarseError(NumericalError):
 class IllConditionedFitError(NumericalError):
     """Least-squares extraction of plane-wave amplitudes is singular,
     typically because the sample spacing aliases exp(2ikx)."""
+
+
+def unwrap(result):
+    """Return result, or raise it if it is an exception: the per-entry
+    outcome of a kernel-matrix call, read back as a scalar call."""
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -7,9 +7,13 @@ Two solvers that never touch the gamma-function results:
   x = +L (seeded with the transmitted wave e^{ikx}) backward to x = -L and
   reads off T = 1/A, R = B/A from a plane-wave match at the left edge.
 
-* :func:`grid_propagator` diagonalizes the finite-difference Hamiltonian on
-  [-L, L] with Dirichlet walls and sums the Euclidean spectral kernel
-  sum_n e^{-E_n tau/hbar} phi_n(xf) phi_n(xi).
+* :func:`grid_propagator_matrix` (and its 1 x 1 case :func:`grid_propagator`)
+  takes the eigenpairs of the finite-difference Hamiltonian on [-L, L] with
+  Dirichlet walls that e^{-E tau/hbar} leaves above 1e-16 of the ground
+  state, and sums the Euclidean spectral kernel
+  sum_n e^{-E_n tau/hbar} phi_n(xf) phi_n(xi) for all points at once.  N is
+  the starting grid: it doubles, up to 16 N, until each entry changes by at
+  most 1e-4 relative.
 
 The Numerov march runs in extended precision (numpy longdouble; 80-bit on
 x86) because the reflected amplitude can sit eight orders of magnitude
@@ -28,15 +32,24 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .errors import ConvergenceError, StepTooCoarseError
+from .errors import ConvergenceError, StepTooCoarseError, unwrap
 from .params import PhysicalParams
+from .propagator import _LOG_TAIL
 from .scattering import Amplitudes, _fit_plane_waves
 
-__all__ = ["SolverConfig", "numerov_amplitudes", "numerov_once", "grid_propagator"]
+__all__ = [
+    "SolverConfig",
+    "numerov_amplitudes",
+    "numerov_once",
+    "grid_propagator",
+    "grid_propagator_matrix",
+]
 
 _MAX_STEPS = 20_000_000
+_GRID_RTOL = 1e-4  # largest change of a grid kernel entry on doubling N
+_MAX_DOUBLINGS = 4  # finest grid 16 N
 
 
 @dataclass(frozen=True)
@@ -190,57 +203,89 @@ def _even_steps(L: float, h: float) -> int:
 
 
 @lru_cache(maxsize=8)
-def _eigensystem(p: PhysicalParams, L: float, N: int):
-    """Eigen-decomposition of the N-point Dirichlet finite-difference
-    Hamiltonian on [-L, L]; cached per (params, L, N)."""
+def _eigensystem(p: PhysicalParams, L: float, N: int, tau: float):
+    """Eigenpairs of the N-point Dirichlet finite-difference Hamiltonian on
+    [-L, L] that exp(-H tau/hbar) can see: those with Boltzmann weight
+    exp(-(E - E0) tau/hbar) >= 1e-16, the tail the spectral k_max drops too.
+    Cached per (params, L, N, tau)."""
     dx = 2.0 * L / (N + 1)
     xs = -L + dx * np.arange(1, N + 1)
     t0 = p.hbar**2 / (p.m * dx * dx)
     diag = t0 + p.potential(xs)
     off = np.full(N - 1, -0.5 * t0)
-    energies, vectors = eigh_tridiagonal(diag, off)
+    e0 = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
+    # V >= 0 puts every eigenvalue above -t0 (Gershgorin)
+    energies, vectors = eigh_tridiagonal(
+        diag, off, select="v", select_range=(-t0, e0 + p.hbar * _LOG_TAIL / tau)
+    )
     return xs, dx, energies, vectors
 
 
-def _kernel_at(p: PhysicalParams, L: float, N: int, tau: float, xf: float, xi: float) -> float:
-    xs, dx, energies, vectors = _eigensystem(p, L, N)
-    if not (xs[0] <= xf <= xs[-1] and xs[0] <= xi <= xs[-1]):
-        raise ValueError(f"(xf, xi) = ({xf}, {xi}) outside interior grid of [-L, L]")
-    weights = np.exp(-energies * tau / p.hbar)
+def _grid_kernel(p: PhysicalParams, L: float, N: int, tau: float, xfs, xis) -> np.ndarray:
+    """Kernel matrix Phi_f diag(w) Phi_i^T / dx on one grid, where row a of
+    Phi holds the eigenvectors bilinearly interpolated to point a."""
+    xs, dx, energies, vectors = _eigensystem(p, L, N, tau)
+    # sqrt(w) on both sides: entry (a, b) then multiplies the same numbers as
+    # entry (b, a) of the swapped call, so K(xf, xi) == K(xi, xf) bit for bit
+    root_w = np.sqrt(np.exp(-energies * tau / p.hbar))
 
-    def node_pair(i: int, j: int) -> float:
-        # canonical ordering makes each node-pair term bit-identical under
-        # xf <-> xi; the paired cross-term sum below does the rest
-        if i > j:
-            i, j = j, i
-        return float(np.dot(weights * vectors[i], vectors[j])) / dx
+    def rows(xq: np.ndarray) -> np.ndarray:
+        if not np.all((xs[0] <= xq) & (xq <= xs[-1])):
+            raise ValueError(f"points {xq} reach outside the interior grid of [-L, L]")
+        j = np.minimum(((xq - xs[0]) / dx).astype(int), N - 2)
+        frac = ((xq - xs[j]) / dx)[:, None]
+        return ((1.0 - frac) * vectors[j] + frac * vectors[j + 1]) * root_w
 
-    def bracket(xq: float):
-        j = min(int((xq - xs[0]) / dx), N - 2)
-        frac = (xq - xs[j]) / dx
-        return j, frac
+    return rows(xfs) @ rows(xis).T / dx
 
-    jf, ff = bracket(xf)
-    ji, fi = bracket(xi)
-    wfs = (1.0 - ff, ff)
-    wis = (1.0 - fi, fi)
 
-    def term(df: int, di: int) -> float:
-        w = wfs[df] * wis[di]
-        return 0.0 if w == 0.0 else w * node_pair(jf + df, ji + di)
+def grid_propagator_matrix(
+    p: PhysicalParams, L: float, N: int, tau: float, xfs, xis
+) -> list[list[float | ConvergenceError]]:
+    """Grid kernel K(xf, xi; tau) for every xf in xfs and xi in xis: rows of
+    floats, or of the ConvergenceError of an entry the grid cannot resolve.
 
-    # xf <-> xi maps the diagonal terms (0,0), (1,1) to themselves and swaps
-    # the cross terms (0,1), (1,0); adding the cross terms to each other
-    # first (a commutative IEEE sum) keeps K(xf, xi) == K(xi, xf) bit-exact.
-    cross = term(0, 1) + term(1, 0)
-    return term(0, 0) + term(1, 1) + cross
+    N is the starting grid.  Each entry is the value on the coarsest grid
+    N, 2N, 4N, 8N whose doubling changes it by at most 1e-4 relative; an
+    entry that still moves between 8N and 16N is the error.
+    """
+    if tau <= 0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    if N < 200:
+        raise ValueError(f"N must be >= 200, got {N}")
+    xfs = np.asarray(xfs, dtype=float)
+    xis = np.asarray(xis, dtype=float)
+    if not (np.all(np.abs(xfs) < L) and np.all(np.abs(xis) < L)):
+        raise ValueError("xf, xi must lie strictly inside (-L, L)")
+    kernel = np.full((len(xfs), len(xis)), np.nan)
+    pending = np.ones(kernel.shape, dtype=bool)
+    value = _grid_kernel(p, L, N, tau, xfs, xis)
+    for doubling in range(_MAX_DOUBLINGS):
+        n = N << doubling
+        refined = _grid_kernel(p, L, 2 * n, tau, xfs, xis)
+        change = np.abs(refined - value)
+        passed = pending & (change <= _GRID_RTOL * np.abs(refined))
+        kernel[passed] = value[passed]
+        pending &= ~passed
+        if not pending.any():
+            break
+        value = refined
+    results = kernel.tolist()
+    for a, b in zip(*np.nonzero(pending)):
+        results[a][b] = ConvergenceError(
+            f"grid kernel changed by {change[a, b] / abs(refined[a, b]):.3e} relative "
+            f"on doubling N={n} (started at N={N}); enlarge the starting grid"
+        )
+    return results
 
 
 def grid_propagator(
     p: PhysicalParams, L: float, N: int, tau: float, xf: float, xi: float
 ) -> float:
-    """Euclidean kernel of exp(-H tau/hbar) from the dense spectrum of the
-    finite-difference Hamiltonian, with a grid-doubling convergence gate.
+    """Euclidean kernel of exp(-H tau/hbar) from the visible spectrum of the
+    finite-difference Hamiltonian, refined from the starting grid N until
+    doubling changes it by at most 1e-4 relative (the 1 x 1 case of
+    grid_propagator_matrix).
 
     Eigenvectors are normalized per node, so phi_n(x) = v_n(x)/sqrt(dx) and
     the kernel carries an overall 1/dx.  Off-node (xf, xi) are bilinearly
@@ -248,17 +293,4 @@ def grid_propagator(
     symmetric: grid_propagator(..., xf, xi) == grid_propagator(..., xi, xf)
     holds bit for bit, not just to rounding.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    if N < 200:
-        raise ValueError(f"N must be >= 200, got {N}")
-    if not (abs(xf) < L and abs(xi) < L):
-        raise ValueError("xf, xi must lie strictly inside (-L, L)")
-    value = _kernel_at(p, L, N, tau, xf, xi)
-    refined = _kernel_at(p, L, 2 * N, tau, xf, xi)
-    if abs(refined - value) > 1e-4 * abs(refined):
-        raise ConvergenceError(
-            f"grid kernel changed by {abs(refined - value) / abs(refined):.3e} "
-            f"relative on doubling N={N}; refine the grid"
-        )
-    return value
+    return unwrap(grid_propagator_matrix(p, L, N, tau, [xf], [xi])[0][0])

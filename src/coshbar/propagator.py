@@ -13,6 +13,9 @@ mu = i kappa.  Quadrature runs in k (dE_k = hbar^2 k/m dk folded into the
 weight, avoiding the 1/sqrt(E) endpoint), on adaptive Gauss-Legendre panels
 over [0, k_max] with k_max fixed by e^{-hbar k^2 tau / 2m} < 1e-16.  Since
 Gauss nodes are interior, the integrable k -> 0 endpoint needs no cut.
+spectral_kernel_matrix computes a whole xfs x xis kernel: the Legendre
+functions on a node set are evaluated once per distinct point, and each
+entry keeps its own panel doubling and checks.
 
 Only the Euclidean (Wick-rotated) kernel is evaluated numerically: the
 real-time version of the same spectral sum is this expression continued
@@ -28,11 +31,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError
+from .errors import ConvergenceError, NumericalError, unwrap
 from .params import PhysicalParams, reduce
 from .special import _legendre_tanh_grid
 
-__all__ = ["KernelValue", "spectral_kernel", "free_kernel"]
+__all__ = ["KernelValue", "spectral_kernel", "spectral_kernel_matrix", "free_kernel"]
 
 _KAPPA_CAP = 100.0  # sinh(2 pi kappa) overflows float64 past ~112
 _LOG_TAIL = 16.0 * math.log(10.0)
@@ -68,39 +71,157 @@ def _gauss_nodes(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _integrand(p: PhysicalParams, nu: complex, alpha_f: float, alpha_i: float, tau: float, k):
-    """Spectral integrand on an array of wavenumbers k.
+def _k_max(p: PhysicalParams, tau: float) -> float:
+    """Spectral cutoff: e^{-hbar k_max^2 tau / 2m} = 1e-16."""
+    if tau <= 0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    k_max = math.sqrt(2.0 * p.m * _LOG_TAIL / (p.hbar * tau))
+    if k_max / p.omega > _KAPPA_CAP:
+        raise ValueError(
+            f"tau = {tau} too small: spectral cutoff needs kappa = {k_max / p.omega:.1f} "
+            f"> {_KAPPA_CAP:.0f}, past the float64 range of the spectral weight"
+        )
+    return k_max
 
-    The weight denominator sin^2(pi nu) + sinh^2(pi kappa) is the
+
+def _panel_sums(p, nu, alpha_f, alpha_i, tau, k_max, n_panels, want, nodes_per_panel=20):
+    """Composite Gauss-Legendre over [0, k_max] in a fixed, deterministic
+    panel order, for every entry (a, b) of the alpha_f x alpha_i matrix with
+    want[a, b].
+
+    P_nu^{-i kappa}(tanh alpha) is evaluated once per distinct alpha in
+    +-alpha_f, and P_nu^{+i kappa}(tanh alpha) once per distinct alpha in
+    +-alpha_i, so the kernel is sum_+- A_+- diag(g w) B_+-^T
+    with A_+-[a] = P_nu^{-i kappa}(+-tanh alpha_f[a]) and B_+-[b] =
+    P_nu^{+i kappa}(+-tanh alpha_i[b]).  It is reduced one row at a time, so
+    each entry's scale (max |integrand| times the range, which bounds the
+    roundoff noise floor of its sum) costs O(n nodes) memory, not O(n^2
+    nodes).  The weight denominator sin^2(pi nu) + sinh^2(pi kappa) is the
     normalization combination sin(pi(nu-ik)) sin(pi(nu+ik)); see
     scattering._norm_denominator_sq for why the absolute-value form is only
-    its real-nu special case."""
-    k = np.asarray(k, dtype=float)
-    kappa = k / p.omega
-    mu = 1j * kappa
-    pair = _legendre_tanh_grid(nu, -mu, alpha_f) * _legendre_tanh_grid(nu, mu, alpha_i)
-    pair = pair + _legendre_tanh_grid(nu, -mu, -alpha_f) * _legendre_tanh_grid(nu, mu, -alpha_i)
-    sin_sq = (cmath.sin(math.pi * nu) ** 2).real
-    denom = sin_sq + np.sinh(math.pi * kappa) ** 2
-    weight = k * np.sinh(math.pi * kappa) / (2.0 * p.omega * denom)
-    boltzmann = np.exp(-p.hbar * k * k * tau / (2.0 * p.m))
-    return weight * pair * boltzmann
+    its real-nu special case.
 
-
-def _panel_sum(p, nu, alpha_f, alpha_i, tau, k_max, n_panels, nodes_per_panel=20):
-    """Composite Gauss-Legendre over [0, k_max] in a fixed, deterministic
-    panel order.  Returns (integral, scale) where scale bounds the
-    roundoff noise floor of the sum (max |integrand| times the range)."""
+    Returns (sums, scales, errors); errors maps (a, b) to the exception a
+    Legendre evaluation raised at one of that entry's points.
+    """
     xg, wg = _gauss_nodes(nodes_per_panel)
     edges = np.linspace(0.0, k_max, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     # nodes laid out panel-major: shape (n_panels, nodes_per_panel)
-    k_nodes = mid[:, None] + half[:, None] * xg[None, :]
-    values = _integrand(p, nu, alpha_f, alpha_i, tau, k_nodes.ravel()).reshape(k_nodes.shape)
-    per_panel = values @ wg
-    scale = float(np.max(np.abs(values))) * k_max
-    return complex(np.sum(per_panel * half)), scale
+    k = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    kappa = k / p.omega
+    mu = 1j * kappa
+    rows = np.flatnonzero(want.any(axis=1))
+    cols = np.flatnonzero(want.any(axis=0))
+
+    def tables(order, alphas) -> dict:
+        out = {}
+        for alpha in {sign * a for sign in (1.0, -1.0) for a in alphas}:
+            try:
+                out[alpha] = _legendre_tanh_grid(nu, order, alpha)
+            except (NumericalError, ValueError) as exc:
+                out[alpha] = exc
+        return out
+
+    from_f = tables(-mu, alpha_f[rows])
+    to_i = tables(mu, alpha_i[cols])
+    sin_sq = (cmath.sin(math.pi * nu) ** 2).real
+    denom = sin_sq + np.sinh(math.pi * kappa) ** 2
+    weight = k * np.sinh(math.pi * kappa) / (2.0 * p.omega * denom)
+    boltzmann = np.exp(-p.hbar * k * k * tau / (2.0 * p.m))
+    sums = np.zeros(want.shape, dtype=complex)
+    scales = np.zeros(want.shape)
+    errors = {}
+    for a in rows:
+        good = []
+        for b in np.flatnonzero(want[a]):
+            entry = (from_f[alpha_f[a]], to_i[alpha_i[b]], from_f[-alpha_f[a]], to_i[-alpha_i[b]])
+            bad = [t for t in entry if isinstance(t, Exception)]
+            if bad:
+                errors[a, b] = bad[0]
+            else:
+                good.append(b)
+        if not good:
+            continue
+        plus = np.stack([to_i[alpha_i[b]] for b in good])
+        minus = np.stack([to_i[-alpha_i[b]] for b in good])
+        pair = from_f[alpha_f[a]] * plus + from_f[-alpha_f[a]] * minus
+        values = weight * pair * boltzmann
+        per_panel = values.reshape(len(good), n_panels, nodes_per_panel) @ wg
+        sums[a, good] = np.sum(per_panel * half, axis=1)
+        scales[a, good] = np.max(np.abs(values), axis=1) * k_max
+    return sums, scales, errors
+
+
+def _accept(xf, xi, tau, total: complex, quad_error: float, noise_floor: float):
+    """The converged sum of one entry as a KernelValue, or the NumericalError
+    that keeps it from being one."""
+    if abs(total.imag) > max(1e-10 * abs(total.real), noise_floor):
+        return NumericalError(
+            f"spectral integrand failed to assemble a real kernel: "
+            f"Im/Re = {total.imag / total.real:.3e}"
+        )
+    if total.real <= 0:
+        return NumericalError(
+            f"Euclidean kernel not resolvable above the quadrature noise "
+            f"floor (got {total.real:.3e}, floor {noise_floor:.3e})"
+        )
+    return KernelValue(xf=xf, xi=xi, tau=tau, value=total.real, quad_error=quad_error)
+
+
+def spectral_kernel_matrix(
+    p: PhysicalParams,
+    xfs,
+    xis,
+    tau: float,
+    rel_tol: float = 1e-9,
+    max_refinements: int = 8,
+) -> list[list[KernelValue | NumericalError | ValueError]]:
+    """K(xf, xi; tau) for every xf in xfs and xi in xis: rows of KernelValue,
+    or of the error that entry raised (see spectral_kernel for the rules,
+    which every entry keeps on its own).
+
+    Entries that need the same panel count share one node set, and the
+    Legendre functions on it are evaluated once per distinct point.  Bad
+    input (tau) raises ValueError for the whole call, before any entry.
+    """
+    k_max = _k_max(p, tau)
+    nu = complex(reduce(p, 0.0).nu)
+    xfs = [float(x) for x in xfs]
+    xis = [float(x) for x in xis]
+    alpha_f = p.omega * np.array(xfs)
+    alpha_i = p.omega * np.array(xis)
+    # Initial panel count resolves the e^{i k (|xf|+|xi|)} oscillation of the
+    # Legendre pair with ~20 nodes per few periods.
+    span = np.abs(xfs)[:, None] + np.abs(xis)[None, :] + 1.0 / p.omega
+    n_panels = np.maximum(4, np.ceil(k_max * span / (6.0 * math.pi))).astype(int)
+    previous = np.zeros(span.shape, dtype=complex)
+    refinements = np.zeros(span.shape, dtype=int)
+    results = [[None] * len(xis) for _ in xfs]
+    pending = np.ones(span.shape, dtype=bool)
+    while pending.any():
+        n = n_panels[pending].min()
+        batch = pending & (n_panels == n)
+        sums, scales, errors = _panel_sums(p, nu, alpha_f, alpha_i, tau, k_max, n, batch)
+        for a, b in zip(*np.nonzero(batch)):
+            total, done = complex(sums[a, b]), refinements[a, b]
+            quad_error = abs(total - previous[a, b]) if done else math.inf
+            noise_floor = 8.0 * np.finfo(float).eps * scales[a, b]
+            if (a, b) in errors:
+                results[a][b] = errors[a, b]
+            elif quad_error <= max(rel_tol * abs(total), noise_floor):
+                results[a][b] = _accept(xfs[a], xis[b], tau, total, quad_error, noise_floor)
+            elif done == max_refinements:
+                results[a][b] = ConvergenceError(
+                    f"spectral quadrature still moving by {quad_error:.3e} after "
+                    f"{max_refinements} refinements (K ~ {abs(total):.3e})"
+                )
+            pending[a, b] = results[a][b] is None
+            previous[a, b] = total
+            refinements[a, b] += 1
+        n_panels[batch] *= 2
+    return results
 
 
 def spectral_kernel(
@@ -111,7 +232,8 @@ def spectral_kernel(
     rel_tol: float = 1e-9,
     max_refinements: int = 8,
 ) -> KernelValue:
-    """Euclidean propagator K(xf, xi; tau) by adaptive panel quadrature.
+    """Euclidean propagator K(xf, xi; tau) by adaptive panel quadrature (the
+    1 x 1 case of spectral_kernel_matrix).
 
     Panels double until two successive refinements agree to rel_tol (or to
     the roundoff floor of the oscillatory sum, whichever is larger); the
@@ -120,46 +242,8 @@ def spectral_kernel(
     floor (the imaginary residue measures how well the two degenerate
     scattering states close into a real projector).  Kernel values at
     separations far beyond sqrt(hbar tau/m) are suppressed purely by phase
-    cancellation and cannot be resolved below the floor.
+    cancellation and cannot be resolved below the floor.  The grid oracle
+    this is checked against, grid_propagator, takes its N as the starting
+    grid and refines from there.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    k_max = math.sqrt(2.0 * p.m * _LOG_TAIL / (p.hbar * tau))
-    if k_max / p.omega > _KAPPA_CAP:
-        raise ValueError(
-            f"tau = {tau} too small: spectral cutoff needs kappa = {k_max / p.omega:.1f} "
-            f"> {_KAPPA_CAP:.0f}, past the float64 range of the spectral weight"
-        )
-    nu = complex(reduce(p, 0.0).nu)
-    alpha_f = p.omega * xf
-    alpha_i = p.omega * xi
-    # Initial panel count resolves the e^{i k (|xf|+|xi|)} oscillation of the
-    # Legendre pair with ~20 nodes per few periods.
-    span = abs(xf) + abs(xi) + 1.0 / p.omega
-    n_panels = max(4, math.ceil(k_max * span / (6.0 * math.pi)))
-    total, scale = _panel_sum(p, nu, alpha_f, alpha_i, tau, k_max, n_panels)
-    quad_error = math.inf
-    for _ in range(max_refinements):
-        n_panels *= 2
-        refined, scale = _panel_sum(p, nu, alpha_f, alpha_i, tau, k_max, n_panels)
-        quad_error = abs(refined - total)
-        total = refined
-        noise_floor = 8.0 * np.finfo(float).eps * scale
-        if quad_error <= max(rel_tol * abs(total), noise_floor):
-            break
-    else:
-        raise ConvergenceError(
-            f"spectral quadrature still moving by {quad_error:.3e} after "
-            f"{max_refinements} refinements (K ~ {abs(total):.3e})"
-        )
-    if abs(total.imag) > max(1e-10 * abs(total.real), noise_floor):
-        raise NumericalError(
-            f"spectral integrand failed to assemble a real kernel: "
-            f"Im/Re = {total.imag / total.real:.3e}"
-        )
-    if total.real <= 0:
-        raise NumericalError(
-            f"Euclidean kernel not resolvable above the quadrature noise "
-            f"floor (got {total.real:.3e}, floor {noise_floor:.3e})"
-        )
-    return KernelValue(xf=xf, xi=xi, tau=tau, value=total.real, quad_error=quad_error)
+    return unwrap(spectral_kernel_matrix(p, [xf], [xi], tau, rel_tol, max_refinements)[0][0])

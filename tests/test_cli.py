@@ -157,6 +157,41 @@ def test_propagator_free_matches_closed_form():
         assert row["k_spectral"] == pytest.approx(exact, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "v0, tau, points",
+    [
+        (0.25, 0.1, (-0.5, -0.25, 0.0, 0.25, 0.5)),
+        (0.25, 1.0, (-2.0, -1.0, 0.0, 1.0, 2.0)),
+        (0.97 / 8.0, 0.3, (-0.4846, 0.4846)),
+    ],
+)
+def test_propagator_oracle_refines_past_starting_grid(v0, tau, points):
+    # The grid changes by more than 1e-4 on doubling N = 1200 here; the
+    # oracle keeps doubling instead of flagging the row.
+    _, rows, code = cmd_propagator(RunConfig(v0=v0, tau=tau, points=points))
+    assert code == 0
+    assert [row["flag"] for row in rows] == [""] * len(points) ** 2
+    assert max(row["rel_dev"] for row in rows) < 2e-4
+
+
+def test_propagator_bad_tau_is_config_error(capsys):
+    code = main(["propagator", "--v0", "0.25", "--tau", "1e-5", "--points=-0.5:0.5:2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err and "too small" in captured.err
+    assert captured.out == ""
+
+
+def test_propagator_unresolvable_pair_flags_only_its_rows():
+    # K(6, -6; tau=1) at v8 = 2 lies below the spectral noise floor.
+    _, rows, code = cmd_propagator(RunConfig(v0=0.25, tau=1.0, points=(-6.0, 6.0)))
+    assert code == 3
+    flags = {(row["xf"], row["xi"]): row["flag"] for row in rows}
+    assert flags[(-6.0, -6.0)] == flags[(6.0, 6.0)] == ""
+    for pair in ((-6.0, 6.0), (6.0, -6.0)):
+        assert flags[pair].startswith("error: Euclidean kernel not resolvable")
+
+
 def test_verify_all_suites_pass():
     report, code = cmd_verify(RunConfig())
     assert code == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coshbar import (
+    ConvergenceError,
     PhysicalParams,
     StepTooCoarseError,
     grid_propagator,
@@ -11,7 +12,7 @@ from coshbar import (
     numerov_once,
     reduce,
 )
-from coshbar.oracle import SolverConfig, _eigensystem
+from coshbar.oracle import SolverConfig, _eigensystem, grid_propagator_matrix
 
 
 def params_for(v8, omega=1.0, m=1.0, hbar=1.0):
@@ -159,9 +160,11 @@ def test_grid_reference_value():
 
 
 def test_grid_eigensolver_residuals():
-    # ||H phi - E phi|| < 1e-10 for a sample of eigenpairs.
+    # ||H phi - E phi|| < 1e-10 for a sample of eigenpairs; at tau = 0.01 the
+    # Boltzmann cutoff keeps all 400.
     p = params_for(2.0)
-    xs, dx, energies, vectors = _eigensystem(p, 6.0, 400)
+    xs, dx, energies, vectors = _eigensystem(p, 6.0, 400, 0.01)
+    assert len(energies) == 400
     t0 = p.hbar**2 / (p.m * dx * dx)
     diag = t0 + p.potential(xs)
     for n in (0, 5, 50, 200, 399):
@@ -180,3 +183,63 @@ def test_grid_input_validation():
         grid_propagator(p, 6.0, 400, -1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         grid_propagator(p, 6.0, 400, 1.0, 7.0, 0.0)
+
+
+def test_grid_swapped_calls_agree_bit_for_bit():
+    p = params_for(2.0)
+    rng = np.random.default_rng(7)
+    for xf, xi in rng.uniform(-1.0, 1.0, size=(12, 2)):
+        forward = grid_propagator(p, 7.0, 900, 1.0, xf, xi)
+        assert forward == grid_propagator(p, 7.0, 900, 1.0, xi, xf)
+
+
+def test_grid_matrix_entries_match_scalar_calls():
+    p = params_for(2.0)
+    xfs, xis = (-0.5, 0.1, 0.7), (0.0, -0.3)
+    matrix = grid_propagator_matrix(p, 6.0, 1200, 0.6, xfs, xis)
+    for row, xf in zip(matrix, xfs):
+        for value, xi in zip(row, xis):
+            assert value == pytest.approx(grid_propagator(p, 6.0, 1200, 0.6, xf, xi), rel=1e-13)
+
+
+def test_grid_selected_eigenpairs_match_full_spectrum():
+    # Reference: every eigenpair of the same N = 1200 Hamiltonian, with the
+    # bilinear interpolation written out node by node.
+    from scipy.linalg import eigh_tridiagonal
+
+    p, L, N, tau = params_for(2.0), 6.0, 1200, 1.0
+    dx = 2.0 * L / (N + 1)
+    xs = -L + dx * np.arange(1, N + 1)
+    t0 = 1.0 / (dx * dx)
+    energies, vectors = eigh_tridiagonal(t0 + p.potential(xs), np.full(N - 1, -0.5 * t0))
+    weights = np.exp(-energies * tau)
+
+    def reference(xf, xi):
+        total = 0.0
+        for jf, wf in _node_weights(xs, dx, xf):
+            for ji, wi in _node_weights(xs, dx, xi):
+                total += wf * wi * np.dot(weights * vectors[jf], vectors[ji]) / dx
+        return total
+
+    points = (-0.5, -0.13, 0.0, 0.42, 1.7)
+    matrix = np.array(grid_propagator_matrix(p, L, N, tau, points, points))
+    assert len(_eigensystem(p, L, N, tau)[2]) < N // 10
+    for a, xf in enumerate(points):
+        for b, xi in enumerate(points):
+            assert matrix[a, b] == pytest.approx(reference(xf, xi), rel=1e-10)
+
+
+def _node_weights(xs, dx, x):
+    j = int((x - xs[0]) / dx)
+    frac = (x - xs[j]) / dx
+    return ((j, 1.0 - frac), (j + 1, frac))
+
+
+def test_grid_unresolved_entry_reports_the_finest_doubling():
+    # Eigenvector roundoff leaves the tiny kernel at (0, 6) (about 6e-9 of
+    # a diagonal 0.4) moving by ~7e-4 between N = 9600 and 19200.
+    p = params_for(2.0)
+    matrix = grid_propagator_matrix(p, 11.0, 1200, 1.0, (0.0,), (0.0, 6.0))
+    assert matrix[0][0] > 0
+    assert isinstance(matrix[0][1], ConvergenceError)
+    assert "N=9600 (started at N=1200)" in str(matrix[0][1])

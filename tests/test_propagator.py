@@ -3,10 +3,12 @@ import pytest
 
 from coshbar import (
     KernelValue,
+    NumericalError,
     PhysicalParams,
     free_kernel,
     grid_propagator,
     spectral_kernel,
+    spectral_kernel_matrix,
 )
 
 
@@ -57,8 +59,8 @@ def test_semigroup_property():
     p = params_for(2.0)
     xf, xi, t1, t2 = 0.3, -0.2, 1.0, 1.0
     zs = np.linspace(-8.0, 8.0, 65)
-    left = np.array([spectral_kernel(p, xf, float(z), t1).value for z in zs])
-    right = np.array([spectral_kernel(p, float(z), xi, t2).value for z in zs])
+    left = np.array([kv.value for kv in spectral_kernel_matrix(p, [xf], zs, t1)[0]])
+    right = np.array([row[0].value for row in spectral_kernel_matrix(p, zs, [xi], t2)])
     composed = np.trapezoid(left * right, zs)
     target = spectral_kernel(p, xf, xi, t1 + t2).value
     assert abs(composed - target) < 1e-3 * target
@@ -78,6 +80,8 @@ def test_tau_too_small_is_rejected():
         spectral_kernel(p, 0.0, 0.0, 1e-5)
     with pytest.raises(ValueError):
         spectral_kernel(p, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="too small"):
+        spectral_kernel_matrix(p, (0.0, 0.5), (0.0, 0.5), 1e-5)
 
 
 def test_kernel_value_validation():
@@ -90,12 +94,36 @@ def test_kernel_value_validation():
 def test_quadrature_error_estimate_is_honest():
     # The reported quad_error bounds the deviation from a much finer
     # quadrature.
-    from coshbar.propagator import _panel_sum
+    from coshbar.propagator import _panel_sums
     from coshbar.params import reduce
 
     p = params_for(2.0)
     kv = spectral_kernel(p, 0.4, -0.3, 0.8)
     nu = complex(reduce(p, 0.0).nu)
     k_max = np.sqrt(2.0 * p.m * 16.0 * np.log(10.0) / (p.hbar * kv.tau))
-    fine, _ = _panel_sum(p, nu, p.omega * kv.xf, p.omega * kv.xi, kv.tau, float(k_max), 512)
-    assert abs(kv.value - fine.real) <= max(kv.quad_error, 1e-12 * kv.value)
+    fine, _, _ = _panel_sums(
+        p, nu, np.array([p.omega * kv.xf]), np.array([p.omega * kv.xi]), kv.tau, float(k_max),
+        512, np.ones((1, 1), dtype=bool),
+    )
+    assert abs(kv.value - fine[0, 0].real) <= max(kv.quad_error, 1e-12 * kv.value)
+
+
+def test_matrix_entries_match_scalar_calls():
+    p = params_for(2.0)
+    xfs, xis = (-0.5, 0.1, 0.7), (0.0, -0.3)
+    matrix = spectral_kernel_matrix(p, xfs, xis, 0.6)
+    for row, xf in zip(matrix, xfs):
+        for kv, xi in zip(row, xis):
+            scalar = spectral_kernel(p, xf, xi, 0.6)
+            assert (kv.xf, kv.xi) == (xf, xi)
+            assert kv.value == pytest.approx(scalar.value, rel=1e-14, abs=0.0)
+            assert kv.quad_error == pytest.approx(scalar.quad_error, rel=1e-6, abs=1e-15)
+
+
+def test_matrix_point_without_legendre_table_fails_only_its_entries():
+    # tanh(400) rounds to 1 in float64, so no Legendre table exists at x = 400.
+    p = params_for(2.0)
+    matrix = spectral_kernel_matrix(p, (0.0, 400.0), (0.0, 400.0), 1.0)
+    assert matrix[0][0].value > 0
+    for a, b in ((0, 1), (1, 0), (1, 1)):
+        assert isinstance(matrix[a][b], (NumericalError, ValueError))
