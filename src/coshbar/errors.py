@@ -20,7 +20,7 @@ class DegenerateTransformError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """A series, quadrature or grid refinement did not converge."""
+    """A series or grid refinement did not converge."""
 
 
 class StepTooCoarseError(NumericalError):

@@ -206,7 +206,8 @@ def _even_steps(L: float, h: float) -> int:
 def _eigensystem(p: PhysicalParams, L: float, N: int, tau: float):
     """Eigenpairs of the N-point Dirichlet finite-difference Hamiltonian on
     [-L, L] that exp(-H tau/hbar) can see: those with Boltzmann weight
-    exp(-(E - E0) tau/hbar) >= 1e-16, the tail the spectral k_max drops too.
+    exp(-(E - E0) tau/hbar) >= 1e-16, the cutoff that also sets the
+    shortest tau the spectral kernel accepts.
     Cached per (params, L, N, tau)."""
     dx = 2.0 * L / (N + 1)
     xs = -L + dx * np.arange(1, N + 1)

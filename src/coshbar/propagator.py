@@ -1,49 +1,69 @@
-"""Euclidean spectral propagator of the sech-squared barrier.
+"""Euclidean propagator of the sech-squared barrier.
 
-The kernel of exp(-H tau/hbar) is assembled as an integral over scattering
-states,
+The paper reduces the path integral to the Morse problem and gets the
+fixed-energy kernel <xf|(H - E)^-1|xi> in closed form,
 
-    K(xf, xi; tau) = int_0^inf dE_k w(k)
-                     [Psi1(yf) Psi1*(yi) + Psi2(yf) Psi2*(yi)] e^{-E_k tau/hbar},
+    G(xf, xi; E) = (m / hbar^2 omega) Gamma(M - nu) Gamma(M + nu + 1)
+                   P_nu^{-M}(tanh omega x>) P_nu^{-M}(-tanh omega x<),
 
-    w(k) = (m / 2 hbar^2 omega) sinh(pi kappa) / |sin(pi (nu - i kappa))|^2,
+with M = sqrt(-2 m E) / (hbar omega), x> = max(xf, xi), x< = min(xf, xi)
+and nu from coshbar.params.  With no bound states G is analytic off E >= 0,
+and the kernel of exp(-H tau/hbar) is the inverse Laplace transform of
+F(s) = hbar G(-hbar s), summed on the fixed Talbot contour
+s(theta) = r theta (cot theta + i) around the cut s <= 0 (Abate & Valko,
+Int. J. Numer. Meth. Eng. 60 (2004) 979; see also Weideman & Trefethen,
+Math. Comp. 76 (2007) 1341).  With theta_k = k pi / n and
+sigma = theta + (theta cot theta - 1) cot theta,
 
-with Psi1(y) = P_nu^{-mu}(y), Psi2(y) = Psi1(-y), y = tanh(omega x) and
-mu = i kappa.  Quadrature runs in k (dE_k = hbar^2 k/m dk folded into the
-weight, avoiding the 1/sqrt(E) endpoint), on adaptive Gauss-Legendre panels
-over [0, k_max] with k_max fixed by e^{-hbar k^2 tau / 2m} < 1e-16.  Since
-Gauss nodes are interior, the integrable k -> 0 endpoint needs no cut.
-spectral_kernel_matrix computes a whole xfs x xis kernel: the Legendre
-functions on a node set are evaluated once per distinct point, and each
-entry keeps its own panel doubling and checks.
+    K = (r/n) [e^{r tau} F(r) / 2 + sum_{k=1}^{n-1} Re(e^{s_k tau} F(s_k) (1 + i sigma_k))].
 
-Only the Euclidean (Wick-rotated) kernel is evaluated numerically: the
-real-time version of the same spectral sum is this expression continued
-back by tau -> i*T, but its oscillatory k-integral is not quadratured here.
+Nothing cancels: the integrand decays along the contour.  With
+P_nu^{-M}(tanh a) = e^{-M a} F(-nu, nu+1; 1+M; (1 - tanh a)/2) / Gamma(1+M),
+each term is exp(s tau + lgG(M-nu) + lgG(M+nu+1) - 2 lgG(1+M) - M omega
+(x> - x<)) times the 2F1 at (1 - tanh omega x>)/2 and at (1 + tanh omega x<)/2,
+so neither Legendre function has to be representable on its own.  The 2F1
+is evaluated once per distinct +-omega x on each node set.
+
+The radius is r = max(n / (4 tau), m (xf - xi)^2 / (2 hbar tau^2)).  The
+second term sends the contour through the saddle of e^{s tau - q |xf - xi|},
+q = sqrt(2 m s / hbar).  The first is below Abate & Valko's 2n / (5 tau):
+their choice assumes F exact to eps, but the log-gammas here carry rounding
+of up to hundreds of eps, which the terms amplify by about e^{r tau}.
+
+Each entry is summed on n = 24 and on n = 22 nodes.  quad_error is the
+difference plus the roundoff of the sum, eps sum_k |term_k| (8 + size of the
+pieces of its exponent).  An entry whose quad_error exceeds 1e-9 of its
+value, or whose sum is not finite and positive, is a NumericalError.  At
+v8 <= 2, every entry with m (xf - xi)^2 / (2 hbar tau) <= 72 (K at least
+1e-32 of the diagonal) is within 1e-10 relative for tau from the floor up
+to 3; farther out the accuracy falls off, and the gate refuses what it
+cannot vouch for.  Strong barriers can push K below the roundoff of the sum
+even at short separations (v8 = 100, tau = 3: K(0, 0) is refused).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, unwrap
+from .errors import NumericalError, unwrap
 from .params import PhysicalParams, reduce
-from .special import _legendre_tanh_grid
+from .special import _half_tanh, _hyp2f1_core, log_gamma
 
 __all__ = ["KernelValue", "spectral_kernel", "spectral_kernel_matrix", "free_kernel"]
 
-_KAPPA_CAP = 100.0  # sinh(2 pi kappa) overflows float64 past ~112
+_KAPPA_CAP = 100.0  # shortest tau: thermal wavenumber up to 100 omega
 _LOG_TAIL = 16.0 * math.log(10.0)
+_NODES = 24  # near the diagonal roundoff grows like e^{n/4} eps
+_CHECK_NODES = 22  # the shorter contour the error estimate compares with
+_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class KernelValue:
-    """One Euclidean propagator value with its quadrature error estimate."""
+    """One Euclidean propagator value with its error estimate."""
 
     xf: float
     xi: float
@@ -66,184 +86,114 @@ def free_kernel(p: PhysicalParams, xf: float, xi: float, tau: float) -> float:
     )
 
 
-@lru_cache(maxsize=4)
-def _gauss_nodes(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _k_max(p: PhysicalParams, tau: float) -> float:
-    """Spectral cutoff: e^{-hbar k_max^2 tau / 2m} = 1e-16."""
+def _check_tau(p: PhysicalParams, tau: float) -> None:
+    """tau > 0, and the thermal wavenumber sqrt(2 m ln(1e16) / hbar tau) at
+    most 100 omega: the range the kernel is verified on."""
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    k_max = math.sqrt(2.0 * p.m * _LOG_TAIL / (p.hbar * tau))
-    if k_max / p.omega > _KAPPA_CAP:
+    kappa = math.sqrt(2.0 * p.m * _LOG_TAIL / (p.hbar * tau)) / p.omega
+    if kappa > _KAPPA_CAP:
         raise ValueError(
-            f"tau = {tau} too small: spectral cutoff needs kappa = {k_max / p.omega:.1f} "
-            f"> {_KAPPA_CAP:.0f}, past the float64 range of the spectral weight"
+            f"tau = {tau} too small: thermal wavenumber kappa = {kappa:.1f} "
+            f"> {_KAPPA_CAP:.0f}, below the verified range of the kernel"
         )
-    return k_max
 
 
-def _panel_sums(p, nu, alpha_f, alpha_i, tau, k_max, n_panels, want, nodes_per_panel=20):
-    """Composite Gauss-Legendre over [0, k_max] in a fixed, deterministic
-    panel order, for every entry (a, b) of the alpha_f x alpha_i matrix with
-    want[a, b].
+def _radius(p: PhysicalParams, tau: float, n: int, d: float) -> float:
+    """Contour radius for n nodes and separation d.  At the real node s = r
+    the order M is real, and it is the c - a - b of the 2F1 tables, whose
+    z -> 1-z transform degenerates at integers: r is raised by 1% until M
+    is at least 1e-3 away from any positive one."""
+    r = max(n / (4.0 * tau), p.m * d * d / (2.0 * p.hbar * tau * tau))
+    while abs((m0 := math.sqrt(2.0 * p.m * r / p.hbar) / p.omega) - max(1, round(m0))) < 1e-3:
+        r *= 1.01
+    return r
 
-    P_nu^{-i kappa}(tanh alpha) is evaluated once per distinct alpha in
-    +-alpha_f, and P_nu^{+i kappa}(tanh alpha) once per distinct alpha in
-    +-alpha_i, so the kernel is sum_+- A_+- diag(g w) B_+-^T
-    with A_+-[a] = P_nu^{-i kappa}(+-tanh alpha_f[a]) and B_+-[b] =
-    P_nu^{+i kappa}(+-tanh alpha_i[b]).  It is reduced one row at a time, so
-    each entry's scale (max |integrand| times the range, which bounds the
-    roundoff noise floor of its sum) costs O(n nodes) memory, not O(n^2
-    nodes).  The weight denominator sin^2(pi nu) + sinh^2(pi kappa) is the
-    normalization combination sin(pi(nu-ik)) sin(pi(nu+ik)); see
-    scattering._norm_denominator_sq for why the absolute-value form is only
-    its real-nu special case.
 
-    Returns (sums, scales, errors); errors maps (a, b) to the exception a
-    Legendre evaluation raised at one of that entry's points.
-    """
-    xg, wg = _gauss_nodes(nodes_per_panel)
-    edges = np.linspace(0.0, k_max, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    # nodes laid out panel-major: shape (n_panels, nodes_per_panel)
-    k = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    kappa = k / p.omega
-    mu = 1j * kappa
-    rows = np.flatnonzero(want.any(axis=1))
-    cols = np.flatnonzero(want.any(axis=0))
-
-    def tables(order, alphas) -> dict:
-        out = {}
-        for alpha in {sign * a for sign in (1.0, -1.0) for a in alphas}:
-            try:
-                out[alpha] = _legendre_tanh_grid(nu, order, alpha)
-            except (NumericalError, ValueError) as exc:
-                out[alpha] = exc
-        return out
-
-    from_f = tables(-mu, alpha_f[rows])
-    to_i = tables(mu, alpha_i[cols])
-    sin_sq = (cmath.sin(math.pi * nu) ** 2).real
-    denom = sin_sq + np.sinh(math.pi * kappa) ** 2
-    weight = k * np.sinh(math.pi * kappa) / (2.0 * p.omega * denom)
-    boltzmann = np.exp(-p.hbar * k * k * tau / (2.0 * p.m))
-    sums = np.zeros(want.shape, dtype=complex)
-    scales = np.zeros(want.shape)
-    errors = {}
-    for a in rows:
-        good = []
-        for b in np.flatnonzero(want[a]):
-            entry = (from_f[alpha_f[a]], to_i[alpha_i[b]], from_f[-alpha_f[a]], to_i[-alpha_i[b]])
-            bad = [t for t in entry if isinstance(t, Exception)]
-            if bad:
-                errors[a, b] = bad[0]
-            else:
-                good.append(b)
-        if not good:
+def _contour_sums(p: PhysicalParams, nu: complex, tau: float, n: int, r: float, pairs) -> list:
+    """The n-node Talbot sum of radius r for each (x>, x<) in pairs, as
+    (K, roundoff), or the NumericalError a 2F1 table of one of its points
+    raised."""
+    theta = np.arange(1, n) * (math.pi / n)
+    cot = 1.0 / np.tan(theta)
+    s = np.concatenate(([r], r * theta * (cot + 1j)))
+    weight = (r / n) * np.concatenate(([0.5], 1.0 + 1j * (theta + (theta * cot - 1.0) * cot)))
+    order = np.sqrt(2.0 * p.m * s / p.hbar) / p.omega
+    lg = log_gamma(np.stack((order - nu, order + nu + 1.0, 1.0 + order)))
+    log_base = s * tau + lg[0] + lg[1] - 2.0 * lg[2]
+    # A term's rounding error is eps times the size of the pieces of its
+    # exponent, which reaches hundreds at small tau where the log-gammas cancel.
+    size = np.abs(s * tau) + np.abs(lg).sum(axis=0) + np.abs(lg[2]) + 8.0
+    tables = {}
+    for beta in {a for xg, xl in pairs for a in (p.omega * xg, -p.omega * xl)}:
+        try:
+            tables[beta] = _hyp2f1_core(-nu, nu + 1.0, 1.0 + order, *_half_tanh(beta))
+        except NumericalError as exc:
+            tables[beta] = exc
+    out = []
+    for xg, xl in pairs:
+        upper, lower = tables[p.omega * xg], tables[-p.omega * xl]
+        if isinstance(upper, Exception) or isinstance(lower, Exception):
+            out.append(upper if isinstance(upper, Exception) else lower)
             continue
-        plus = np.stack([to_i[alpha_i[b]] for b in good])
-        minus = np.stack([to_i[-alpha_i[b]] for b in good])
-        pair = from_f[alpha_f[a]] * plus + from_f[-alpha_f[a]] * minus
-        values = weight * pair * boltzmann
-        per_panel = values.reshape(len(good), n_panels, nodes_per_panel) @ wg
-        sums[a, good] = np.sum(per_panel * half, axis=1)
-        scales[a, good] = np.max(np.abs(values), axis=1) * k_max
-    return sums, scales, errors
+        decay = p.omega * (xg - xl) * order
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (p.m / (p.hbar * p.omega)) * weight * np.exp(log_base - decay) * upper * lower
+            roundoff = np.finfo(float).eps * np.sum(np.abs(terms) * (size + np.abs(decay)))
+        out.append((terms.sum().real, roundoff))
+    return out
 
 
-def _accept(xf, xi, tau, total: complex, quad_error: float, noise_floor: float):
-    """The converged sum of one entry as a KernelValue, or the NumericalError
-    that keeps it from being one."""
-    if abs(total.imag) > max(1e-10 * abs(total.real), noise_floor):
+def _gate(fine, check):
+    """(K, quad_error) of one pair from its two contour sums, or the
+    NumericalError that keeps it from being a value."""
+    if isinstance(fine, Exception) or isinstance(check, Exception):
+        return fine if isinstance(fine, Exception) else check
+    (value, roundoff), (coarse, _) = fine, check
+    if not (math.isfinite(value) and value > 0):
+        return NumericalError(f"Euclidean kernel not resolvable: contour sum is {value:.3e}")
+    quad_error = abs(value - coarse) + roundoff
+    if not quad_error <= _REL_TOL * value:
         return NumericalError(
-            f"spectral integrand failed to assemble a real kernel: "
-            f"Im/Re = {total.imag / total.real:.3e}"
+            f"Euclidean kernel not resolvable: contour error {quad_error:.3e} "
+            f"> {_REL_TOL:.0e} of K = {value:.3e}"
         )
-    if total.real <= 0:
-        return NumericalError(
-            f"Euclidean kernel not resolvable above the quadrature noise "
-            f"floor (got {total.real:.3e}, floor {noise_floor:.3e})"
-        )
-    return KernelValue(xf=xf, xi=xi, tau=tau, value=total.real, quad_error=quad_error)
+    return value, quad_error
 
 
 def spectral_kernel_matrix(
-    p: PhysicalParams,
-    xfs,
-    xis,
-    tau: float,
-    rel_tol: float = 1e-9,
-    max_refinements: int = 8,
-) -> list[list[KernelValue | NumericalError | ValueError]]:
+    p: PhysicalParams, xfs, xis, tau: float
+) -> list[list[KernelValue | NumericalError]]:
     """K(xf, xi; tau) for every xf in xfs and xi in xis: rows of KernelValue,
-    or of the error that entry raised (see spectral_kernel for the rules,
-    which every entry keeps on its own).
-
-    Entries that need the same panel count share one node set, and the
-    Legendre functions on it are evaluated once per distinct point.  Bad
-    input (tau) raises ValueError for the whole call, before any entry.
-    """
-    k_max = _k_max(p, tau)
+    or of the NumericalError that entry raised (see spectral_kernel).  K
+    depends only on (x>, x<), so each unordered pair is summed once and
+    swapped entries agree bit for bit; pairs with the same radii share one
+    node set.  Bad tau raises ValueError for the whole call."""
+    _check_tau(p, tau)
     nu = complex(reduce(p, 0.0).nu)
     xfs = [float(x) for x in xfs]
     xis = [float(x) for x in xis]
-    alpha_f = p.omega * np.array(xfs)
-    alpha_i = p.omega * np.array(xis)
-    # Initial panel count resolves the e^{i k (|xf|+|xi|)} oscillation of the
-    # Legendre pair with ~20 nodes per few periods.
-    span = np.abs(xfs)[:, None] + np.abs(xis)[None, :] + 1.0 / p.omega
-    n_panels = np.maximum(4, np.ceil(k_max * span / (6.0 * math.pi))).astype(int)
-    previous = np.zeros(span.shape, dtype=complex)
-    refinements = np.zeros(span.shape, dtype=int)
-    results = [[None] * len(xis) for _ in xfs]
-    pending = np.ones(span.shape, dtype=bool)
-    while pending.any():
-        n = n_panels[pending].min()
-        batch = pending & (n_panels == n)
-        sums, scales, errors = _panel_sums(p, nu, alpha_f, alpha_i, tau, k_max, n, batch)
-        for a, b in zip(*np.nonzero(batch)):
-            total, done = complex(sums[a, b]), refinements[a, b]
-            quad_error = abs(total - previous[a, b]) if done else math.inf
-            noise_floor = 8.0 * np.finfo(float).eps * scales[a, b]
-            if (a, b) in errors:
-                results[a][b] = errors[a, b]
-            elif quad_error <= max(rel_tol * abs(total), noise_floor):
-                results[a][b] = _accept(xfs[a], xis[b], tau, total, quad_error, noise_floor)
-            elif done == max_refinements:
-                results[a][b] = ConvergenceError(
-                    f"spectral quadrature still moving by {quad_error:.3e} after "
-                    f"{max_refinements} refinements (K ~ {abs(total):.3e})"
-                )
-            pending[a, b] = results[a][b] is None
-            previous[a, b] = total
-            refinements[a, b] += 1
-        n_panels[batch] *= 2
-    return results
+    groups = {}
+    for xg, xl in sorted({(max(xf, xi), min(xf, xi)) for xf in xfs for xi in xis}):
+        radii = tuple(_radius(p, tau, n, xg - xl) for n in (_NODES, _CHECK_NODES))
+        groups.setdefault(radii, []).append((xg, xl))
+    kernel = {}
+    for (r_fine, r_check), pairs in groups.items():
+        fine = _contour_sums(p, nu, tau, _NODES, r_fine, pairs)
+        check = _contour_sums(p, nu, tau, _CHECK_NODES, r_check, pairs)
+        kernel.update(zip(pairs, map(_gate, fine, check)))
+
+    def entry(xf: float, xi: float):
+        result = kernel[max(xf, xi), min(xf, xi)]
+        return result if isinstance(result, Exception) else KernelValue(xf, xi, tau, *result)
+
+    return [[entry(xf, xi) for xi in xis] for xf in xfs]
 
 
-def spectral_kernel(
-    p: PhysicalParams,
-    xf: float,
-    xi: float,
-    tau: float,
-    rel_tol: float = 1e-9,
-    max_refinements: int = 8,
-) -> KernelValue:
-    """Euclidean propagator K(xf, xi; tau) by adaptive panel quadrature (the
-    1 x 1 case of spectral_kernel_matrix).
-
-    Panels double until two successive refinements agree to rel_tol (or to
-    the roundoff floor of the oscillatory sum, whichever is larger); the
-    last change is reported as quad_error.  The integral of the assembled
-    complex integrand must come out real to 1e-10 relative, up to that same
-    floor (the imaginary residue measures how well the two degenerate
-    scattering states close into a real projector).  Kernel values at
-    separations far beyond sqrt(hbar tau/m) are suppressed purely by phase
-    cancellation and cannot be resolved below the floor.  The grid oracle
-    this is checked against, grid_propagator, takes its N as the starting
-    grid and refines from there.
-    """
-    return unwrap(spectral_kernel_matrix(p, [xf], [xi], tau, rel_tol, max_refinements)[0][0])
+def spectral_kernel(p: PhysicalParams, xf: float, xi: float, tau: float) -> KernelValue:
+    """Euclidean propagator K(xf, xi; tau): the paper's Green's function
+    inverted on a Talbot contour (the 1 x 1 case of spectral_kernel_matrix;
+    the module docstring states the error estimate and the resolvable
+    range).  Raises NumericalError where quad_error exceeds 1e-9 of the
+    value or the sum is not finite and positive."""
+    return unwrap(spectral_kernel_matrix(p, [xf], [xi], tau)[0][0])

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import IllConditionedFitError, NumericalError
 from .params import BarrierIndex, PhysicalParams
-from .special import _exp_lg_sum, _hyp2f1_core, _tanh_complements, legendre_P_tanh, log_gamma
+from .special import _exp_lg_sum, _half_tanh, _hyp2f1_core, legendre_P_tanh, log_gamma
 
 __all__ = [
     "Amplitudes",
@@ -235,12 +235,11 @@ def wavefunctions(idx: BarrierIndex, p: PhysicalParams, x: float) -> WaveSample:
     # the Legendre route.
     log_2cosh = abs(alpha) + math.log1p(math.exp(-2.0 * abs(alpha)))
     pref = norm * cmath.exp(1j * kappa * log_2cosh - complex(log_gamma(1.0 - mu)))
-    t_minus, t_plus = _tanh_complements(alpha)
     alt_right = pref * complex(
-        _hyp2f1_core(1.0 + nu - mu, -nu - mu, 1.0 - mu, t_minus, t_plus)
+        _hyp2f1_core(1.0 + nu - mu, -nu - mu, 1.0 - mu, *_half_tanh(alpha))
     )
     alt_left = pref * complex(
-        _hyp2f1_core(1.0 + nu - mu, -nu - mu, 1.0 - mu, t_plus, t_minus)
+        _hyp2f1_core(1.0 + nu - mu, -nu - mu, 1.0 - mu, *_half_tanh(-alpha))
     )
 
     scale = norm * math.exp(-complex(log_gamma(1.0 - mu)).real)  # |c| of c*e^{ikx}

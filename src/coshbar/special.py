@@ -12,7 +12,7 @@ imaginary (or general complex) order,
 Log-gamma is scipy.special.loggamma behind a pole check; 2F1 and Legendre P
 are written here, because scipy has no Gauss 2F1 for complex parameters.
 All routines accept numpy arrays where it matters (the propagator sweeps
-hundreds of quadrature nodes at once, a scatter sweep every kappa at once)
+every contour node at once, a scatter sweep every kappa at once)
 and plain scalars otherwise.
 """
 
@@ -56,10 +56,14 @@ def log_gamma(z):
 def _gauss_series(a, b, c, z):
     """Direct Gauss series sum_n (a)_n (b)_n / ((c)_n n!) z^n, broadcast
     over complex numpy arrays.  Stops when the last two terms are below
-    SERIES_RTOL relative to the running sum."""
+    SERIES_RTOL relative to the running sum.  Where Re(c) < 0 the terms can
+    dip, swell again past n = -Re(c) and decay for good only once
+    |z| n < |c + n|, so no stop is taken before n = -Re(c) / (1 - |z|)."""
     a, b, c, z = np.broadcast_arrays(
         *(np.asarray(v, dtype=complex) for v in (a, b, c, z))
     )
+    lowest, widest = float(np.min(c.real)), float(np.max(np.abs(z)))
+    start = -lowest / (1.0 - widest) if lowest < 0.0 and widest < 1.0 else 0.0
     term = np.ones(a.shape, dtype=complex)
     total = np.ones(a.shape, dtype=complex)
     small_streak = 0
@@ -68,7 +72,7 @@ def _gauss_series(a, b, c, z):
             for n in range(SERIES_MAX_TERMS):
                 term = term * ((a + n) * (b + n)) / ((c + n) * (n + 1.0)) * z
                 total = total + term
-                if np.all(np.abs(term) <= SERIES_RTOL * np.abs(total)):
+                if n >= start and np.all(np.abs(term) <= SERIES_RTOL * np.abs(total)):
                     small_streak += 1
                     if small_streak >= 2:
                         return total
@@ -101,19 +105,20 @@ def _exp_lg_sum(numerators, denominators):
     return np.where(pole.any(axis=0), 0.0, np.exp(acc))
 
 
-def _hyp2f1_core(a, b, c, z, one_minus_z):
+def _hyp2f1_core(a, b, c, z, log_one_minus_z):
     """Gauss 2F1 for real argument z in [0, 1), broadcast over complex
-    parameter arrays.  z and one_minus_z are scalars supplied separately so
-    callers near z = 1 can pass an accurately computed complement (z itself
-    may round to 1.0 as long as the complement stays positive).
+    parameter arrays.  z and log(1 - z) are scalars supplied separately so
+    callers near z = 1 can pass an accurately computed complement: z itself
+    may round to 1.0, and 1 - z may underflow, as long as its log is finite.
 
     z <= 1/2 sums the series directly; otherwise the z -> 1-z two-term
-    connection formula is used, with all gamma prefactors in log space.
+    connection formula is used, with all gamma prefactors in log space and
+    (1 - z)^(c - a - b) formed from log(1 - z).
     Terminating (polynomial) cases always use the direct finite sum: the
     connection prefactors degenerate there.
     """
-    if z < 0.0 or one_minus_z <= 0.0:
-        raise ValueError(f"argument must lie in [0, 1), got {z}")
+    if not (z >= 0.0 and -math.inf < log_one_minus_z <= 0.0):
+        raise ValueError(f"argument must lie in [0, 1), got {z} (log(1 - z) = {log_one_minus_z})")
     if z <= 0.5:
         return _gauss_series(a, b, c, z)
     a, b, c = np.broadcast_arrays(
@@ -122,6 +127,7 @@ def _hyp2f1_core(a, b, c, z, one_minus_z):
     poly = _is_nonpositive_int(a) | _is_nonpositive_int(b)
     if np.all(poly):
         return _gauss_series(a, b, c, z)
+    one_minus_z = math.exp(log_one_minus_z)
     cab = c - a - b
     degenerate = np.abs(cab - np.round(np.real(cab))) < 1e-8
     if np.any(degenerate & ~poly):
@@ -135,7 +141,7 @@ def _hyp2f1_core(a, b, c, z, one_minus_z):
     b_t = np.where(poly, 0.75, b)
     cab_t = c - a_t - b_t
     p1 = _exp_lg_sum((c, cab_t), (c - a_t, c - b_t))
-    p2 = _exp_lg_sum((c, -cab_t), (a_t, b_t)) * np.exp(cab_t * math.log(one_minus_z))
+    p2 = _exp_lg_sum((c, -cab_t), (a_t, b_t)) * np.exp(cab_t * log_one_minus_z)
     out = p1 * _gauss_series(a_t, b_t, a_t + b_t - c + 1.0, one_minus_z) + p2 * _gauss_series(
         c - a_t, c - b_t, cab_t + 1.0, one_minus_z
     )
@@ -155,20 +161,21 @@ def hyp2f1(a, b, c, z: float) -> complex:
     """
     if np.any(_is_nonpositive_int(c)):
         raise PoleError(f"hyp2f1 undefined for c = {c} (non-positive integer)")
-    out = _hyp2f1_core(complex(a), complex(b), complex(c), float(z), 1.0 - float(z))
+    z = float(z)
+    if not 0.0 <= z < 1.0:
+        raise ValueError(f"argument must lie in [0, 1), got {z}")
+    out = _hyp2f1_core(complex(a), complex(b), complex(c), z, math.log1p(-z))
     return complex(out)
 
 
-def _legendre_core(nu, mu, t_minus, t_plus, alpha):
-    """P_nu^mu(tanh(alpha)) given the half-complements t_minus = (1-x)/2 and
-    t_plus = (1+x)/2 and alpha = atanh(x).  The prefactor ratio
-    [(1+x)/(1-x)]^(mu/2) equals exp(mu*alpha) exactly, which keeps the
-    oscillatory phase accurate far into the tails."""
-    pref = np.exp(
-        np.asarray(mu, dtype=complex) * alpha
-        - log_gamma(1.0 - np.asarray(mu, dtype=complex))
-    )
-    return pref * _hyp2f1_core(-nu, nu + 1.0, 1.0 - np.asarray(mu, dtype=complex), t_minus, t_plus)
+def _legendre_core(nu, mu, z, log_one_minus_z, alpha):
+    """P_nu^mu(tanh(alpha)) given z = (1-x)/2, log((1+x)/2) and
+    alpha = atanh(x).  The prefactor ratio [(1+x)/(1-x)]^(mu/2) equals
+    exp(mu*alpha) exactly, which keeps the oscillatory phase accurate far
+    into the tails."""
+    mu = complex(mu)
+    pref = np.exp(mu * alpha - log_gamma(1.0 - mu))
+    return pref * _hyp2f1_core(-nu, nu + 1.0, 1.0 - mu, z, log_one_minus_z)
 
 
 def legendre_P(nu: complex, mu: complex, x: float) -> complex:
@@ -182,36 +189,29 @@ def legendre_P(nu: complex, mu: complex, x: float) -> complex:
     if np.any(_is_nonpositive_int(1.0 - np.asarray(mu, dtype=complex))):
         raise PoleError(f"legendre_P undefined for 1 - mu = {1.0 - mu} (gamma pole)")
     out = _legendre_core(
-        complex(nu), complex(mu), (1.0 - x) / 2.0, (1.0 + x) / 2.0, math.atanh(x)
+        complex(nu), mu, (1.0 - x) / 2.0, math.log((1.0 + x) / 2.0), math.atanh(x)
     )
     return complex(out)
 
 
 def legendre_P_tanh(nu: complex, mu: complex, alpha: float) -> complex:
-    """P_nu^mu(tanh(alpha)), stable for large |alpha|.
+    """P_nu^mu(tanh(alpha)), stable for any finite alpha.
 
     Equivalent to legendre_P(nu, mu, tanh(alpha)) but with the argument
-    complements (1 -+ tanh(alpha))/2 formed from exponentials of alpha, so
-    no precision is lost where tanh saturates."""
+    (1 - tanh(alpha))/2 and the log of its complement formed from
+    exponentials of alpha, so no precision is lost where tanh saturates."""
     if np.any(_is_nonpositive_int(1.0 - np.asarray(mu, dtype=complex))):
         raise PoleError(f"legendre_P undefined for 1 - mu = {1.0 - mu} (gamma pole)")
-    t_minus, t_plus = _tanh_complements(alpha)
-    out = _legendre_core(complex(nu), complex(mu), t_minus, t_plus, float(alpha))
+    out = _legendre_core(complex(nu), mu, *_half_tanh(alpha), float(alpha))
     return complex(out)
 
 
-def _legendre_tanh_grid(nu: complex, mu, alpha: float):
-    """Vectorized legendre_P_tanh over an array of orders mu at fixed
-    degree and argument (the propagator's quadrature inner loop)."""
-    t_minus, t_plus = _tanh_complements(alpha)
-    return _legendre_core(complex(nu), np.asarray(mu, dtype=complex), t_minus, t_plus, float(alpha))
-
-
-def _tanh_complements(alpha: float) -> tuple[float, float]:
-    """(1 - tanh a)/2 and (1 + tanh a)/2 without cancellation."""
+def _half_tanh(alpha: float) -> tuple[float, float]:
+    """z = (1 - tanh a)/2 and log(1 - z) = log((1 + tanh a)/2), without
+    cancellation; the log stays finite where 1 - z underflows.  The pair
+    at -a is ((1 + tanh a)/2, log((1 - tanh a)/2))."""
     alpha = float(alpha)
+    e = math.exp(-2.0 * abs(alpha))
     if alpha >= 0.0:
-        e = math.exp(-2.0 * alpha)
-        return e / (1.0 + e), 1.0 / (1.0 + e)
-    e = math.exp(2.0 * alpha)
-    return 1.0 / (1.0 + e), e / (1.0 + e)
+        return e / (1.0 + e), -math.log1p(e)
+    return 1.0 / (1.0 + e), 2.0 * alpha - math.log1p(e)

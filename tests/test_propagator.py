@@ -91,21 +91,40 @@ def test_kernel_value_validation():
         KernelValue(xf=0.0, xi=0.0, tau=1.0, value=1.0, quad_error=-1.0)
 
 
-def test_quadrature_error_estimate_is_honest():
-    # The reported quad_error bounds the deviation from a much finer
-    # quadrature.
-    from coshbar.propagator import _panel_sums
-    from coshbar.params import reduce
+def referee_kernel(mp, v8, xf, xi, tau):
+    """K at m = hbar = omega = 1 by mpmath's Talbot inversion of the
+    paper's Green's function, with Ferrers P and gamma at 30 digits."""
+    with mp.workdps(30):
+        v8 = mp.mpf(v8)
+        nu = (-1 + mp.sqrt(1 - v8)) / 2 if v8 <= 1 else mp.mpc(-0.5, mp.sqrt(v8 - 1) / 2)
+        hi, lo = mp.mpf(max(xf, xi)), mp.mpf(min(xf, xi))
 
-    p = params_for(2.0)
-    kv = spectral_kernel(p, 0.4, -0.3, 0.8)
-    nu = complex(reduce(p, 0.0).nu)
-    k_max = np.sqrt(2.0 * p.m * 16.0 * np.log(10.0) / (p.hbar * kv.tau))
-    fine, _, _ = _panel_sums(
-        p, nu, np.array([p.omega * kv.xf]), np.array([p.omega * kv.xi]), kv.tau, float(k_max),
-        512, np.ones((1, 1), dtype=bool),
-    )
-    assert abs(kv.value - fine[0, 0].real) <= max(kv.quad_error, 1e-12 * kv.value)
+        def green(s):
+            order = mp.sqrt(2 * s)
+            return (
+                mp.gamma(order - nu) * mp.gamma(order + nu + 1)
+                * mp.legenp(nu, -order, mp.tanh(hi), type=2)
+                * mp.legenp(nu, -order, -mp.tanh(lo), type=2)
+            )
+
+        return mp.re(mp.invertlaplace(green, mp.mpf(tau), method="talbot"))
+
+
+@pytest.mark.parametrize("v8", (0.5, 2.0))
+def test_kernel_matches_mpmath_referee(v8):
+    # Down to K ~ 2e-32 at (6, -6), and to the shortest tau (0.0075 is
+    # above the floor at omega = 1); at tau = 0.75 the 24-node contour's
+    # real node has M = 4 exactly before the radius is nudged.  quad_error
+    # must bound the deviation.
+    mp = pytest.importorskip("mpmath")
+    p = params_for(v8)
+    cases = ((0.3, -0.2, 1.0), (0.0, 0.0, 0.1), (6.0, -6.0, 1.0), (2.0, -1.0, 0.3),
+             (0.5, 0.5, 0.0075), (1.0, -1.0, 0.03), (0.5, 0.2, 0.75))
+    for xf, xi, tau in cases:
+        kv = spectral_kernel(p, xf, xi, tau)
+        ref = float(referee_kernel(mp, v8, xf, xi, tau))
+        assert abs(kv.value - ref) <= 1e-10 * ref, (xf, xi, tau)
+        assert abs(kv.value - ref) <= kv.quad_error, (xf, xi, tau)
 
 
 def test_matrix_entries_match_scalar_calls():
@@ -120,10 +139,38 @@ def test_matrix_entries_match_scalar_calls():
             assert kv.quad_error == pytest.approx(scalar.quad_error, rel=1e-6, abs=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
 def test_matrix_point_without_legendre_table_fails_only_its_entries():
-    # tanh(400) rounds to 1 in float64, so no Legendre table exists at x = 400.
+    # tanh(400) rounds to 1 in float64, yet the 2F1 tables at x = 400 exist
+    # (their arguments carry log(1 - z)), so K(400, 400) is the free value.
+    # K(0, 400) and K(400, 0) underflow and fail on their own.
     p = params_for(2.0)
     matrix = spectral_kernel_matrix(p, (0.0, 400.0), (0.0, 400.0), 1.0)
     assert matrix[0][0].value > 0
-    for a, b in ((0, 1), (1, 0), (1, 1)):
-        assert isinstance(matrix[a][b], (NumericalError, ValueError))
+    assert matrix[1][1].value == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-10, abs=0.0)
+    for a, b in ((0, 1), (1, 0)):
+        assert isinstance(matrix[a][b], NumericalError)
+
+
+@pytest.mark.parametrize("tau", (0.1, 1.0))
+def test_free_case_matches_closed_form_at_every_separation(tau):
+    # Within 1e-10 wherever m d^2 / (2 hbar tau) <= 72, and beyond that a
+    # value within 1e-10 or a per-entry NumericalError, never a wrong value.
+    p = params_for(0.0)
+    xs = np.arange(-6.0, 6.5, 0.5)
+    matrix = spectral_kernel_matrix(p, xs, xs, tau)
+    for row, xf in zip(matrix, xs):
+        for kv, xi in zip(row, xs):
+            exact = free_kernel(p, xf, xi, tau)
+            if (xf - xi) ** 2 / (2.0 * tau) > 72.0 and isinstance(kv, NumericalError):
+                continue
+            assert abs(kv.value - exact) <= 1e-10 * exact, (xf, xi)
+            assert abs(kv.value - exact) <= kv.quad_error, (xf, xi)
+
+
+def test_far_free_entry_is_refused_or_right():
+    p = params_for(0.0)
+    result = spectral_kernel_matrix(p, [0.0], [30.0], 1.0)[0][0]
+    if not isinstance(result, NumericalError):
+        exact = free_kernel(p, 0.0, 30.0, 1.0)
+        assert abs(result.value - exact) <= 1e-10 * exact

@@ -1,14 +1,16 @@
-"""Arbitrary-precision referee for the closed-form amplitudes.
+"""Arbitrary-precision referee for the closed-form amplitudes and wave
+functions.
 
 T and R are checked against the gamma ratios of the paper evaluated by
 mpmath at 40 digits, with nu formed from v8 at that precision, over the
-extreme strengths and wavenumbers the package supports.  mpmath is a test
+extreme strengths and wavenumbers the package supports; the wave functions
+against mpmath Legendre functions deep in the tails.  mpmath is a test
 extra, not a package dependency, so the module skips without it.
 """
 
 import pytest
 
-from coshbar import PhysicalParams, amplitudes, reduce
+from coshbar import PhysicalParams, amplitudes, reduce, wavefunctions
 
 mp = pytest.importorskip("mpmath")
 
@@ -60,3 +62,36 @@ def test_amplitudes_match_gamma_ratios(v8):
         assert err <= RTOL, f"kappa={kappa:g}: relative error {err:.3e}"
         worst = max(worst, err)
     print(f"v8={v8:g}: worst relative error {worst:.3e} (tolerance {RTOL:.0e})")
+
+
+def reference_waves(v8: float, kappa: float, x: float):
+    """(psi_right, psi_left, plane-wave scale) at m = hbar = omega = 1, with
+    P_nu^{i kappa}(tanh a) = e^{i kappa a} F(-nu, nu+1; 1 - i kappa;
+    1/(1 + e^{2a})) / Gamma(1 - i kappa) at enough digits that 1 - z
+    survives in z."""
+    with mp.workdps(DIGITS + int(abs(x)) + 10):
+        v8m, k, a = mp.mpf(v8), mp.mpf(kappa), mp.mpf(x)
+        nu = (-1 + mp.sqrt(1 - v8m)) / 2 if v8m <= 1 else mp.mpc(-0.5, mp.sqrt(v8m - 1) / 2)
+        mu = mp.mpc(0, k)
+        denom = mp.re(mp.sin(mp.pi * nu) ** 2) + mp.sinh(mp.pi * k) ** 2
+        norm = mp.sqrt(mp.sinh(mp.pi * k) / (2 * denom))
+
+        def legendre(b):
+            z = 1 / (1 + mp.exp(2 * b))
+            return mp.exp(mu * b) / mp.gamma(1 - mu) * mp.hyp2f1(-nu, nu + 1, 1 - mu, z)
+
+        scale = norm / abs(mp.gamma(1 - mu))
+        return complex(norm * legendre(a)), complex(norm * legendre(-a)), float(scale)
+
+
+@pytest.mark.parametrize("x", (20.0, 100.0, 300.0, 354.0, 360.0, 368.0, 376.0, 400.0, 700.0, 1000.0))
+def test_wavefunctions_deep_tails_match_legendre(x):
+    # Near |omega x| = 372 the complement (1 - |tanh|)/2 turns subnormal and
+    # then underflows to 0; the z -> 1-z route needs only log(1 - z).
+    p = PhysicalParams(m=1.0, hbar=1.0, omega=1.0, v0=2.0 / 8.0)
+    idx = reduce(p, 1.0)
+    for sample_x in (x, -x):
+        w = wavefunctions(idx, p, sample_x)
+        right, left, scale = reference_waves(2.0, 1.0, sample_x)
+        assert abs(w.psi_right - right) <= 1e-13 * (scale + abs(right))
+        assert abs(w.psi_left - left) <= 1e-13 * (scale + abs(left))

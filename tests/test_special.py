@@ -144,6 +144,17 @@ def test_hyp2f1_series_and_transform_agree_on_overlap_band():
             assert abs(val - ref) <= 1e-9 * abs(ref)
 
 
+@pytest.mark.parametrize("order", (30.98, 60.5, 80.3))
+def test_hyp2f1_transform_with_large_c_minus_a_minus_b(order):
+    # c - a - b = M: the transform's first series F(a, b; 1 - M; 1 - z) dips
+    # below the stopping threshold, then swells again past n = M - 1.
+    nu = complex(reduce(PhysicalParams(1, 1, 1, 2.0 / 8), 1.0).nu)
+    for z in (0.55, 0.6, 0.73):
+        val = hyp2f1(-nu, nu + 1, 1 + order, z)
+        ref = reference_2f1(-nu, nu + 1, 1 + order, z)
+        assert abs(val - ref) <= 1e-12 * abs(ref)
+
+
 def test_hyp2f1_degenerate_transform_error():
     # c - a - b integer and z > 1/2: the two-term connection formula blows up.
     with pytest.raises(DegenerateTransformError):
