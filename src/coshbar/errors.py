@@ -24,7 +24,8 @@ class ConvergenceError(NumericalError):
 
 
 class StepTooCoarseError(NumericalError):
-    """Integrator step failed the h vs h/2 Richardson comparison."""
+    """Integrator step failed the h vs h/2 Richardson comparison, or is past
+    the scheme's stability limit."""
 
 
 class IllConditionedFitError(NumericalError):

@@ -13,20 +13,34 @@ Two solvers that never touch the gamma-function results:
   state, and sums the Euclidean spectral kernel
   sum_n e^{-E_n tau/hbar} phi_n(xf) phi_n(xi) for all points at once.  N is
   the starting grid: it doubles, up to 16 N, until each entry changes by at
-  most 1e-4 relative.
+  most 1e-4 relative.  An entry whose eigenvector roundoff floor passes that
+  gate first is refused, since doubling N raises the floor.
 
-The Numerov march runs in extended precision (numpy longdouble; 80-bit on
-x86) because the reflected amplitude can sit eight orders of magnitude
-below the incident one, where plain double roundoff over ~10^4 steps is
-visible.  Amplitudes are matched by least squares over a trailing window
-about one wavelength long (far better conditioned than a two-point solve at
-spacing h), at identical physical positions for the h and h/2 runs, and the
+The Numerov march is a product of 2 x 2 transfer matrices, one per step.
+The match needs psi only in a trailing window at the left edge, so the
+matrices of the steps from x = +L to the window are multiplied pairwise,
+in about log2(n) rounds of vectorized products, and a suffix scan over the
+window's matrices gives psi at each window node.  The products are formed in
+extended precision (numpy longdouble; 80-bit on x86) because the reflected
+amplitude can sit eight orders of magnitude below the incident one, where
+double roundoff over ~10^4 steps is visible.  They are also formed in a
+rotated basis: in the raw basis, products of free steps have entries of
+order 1/sin(kh) that cancel on the seed, which costs about three digits of
+R; in the basis where a free step is a rotation, every partial product
+stays of order one.  Only the barrier's departure from the free step,
+which is proportional to V, is formed in double, so its rounding perturbs
+the barrier by 1e-16 relative, not the free propagation.
+
+Amplitudes are matched by least squares over a trailing window about one
+wavelength long (far better conditioned than a two-point solve at spacing
+h), at identical physical positions for the h and h/2 runs, and the
 returned values are Richardson-extrapolated; the h vs h/2 spread drives the
 step-too-coarse gate.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,7 +61,10 @@ __all__ = [
     "grid_propagator_matrix",
 ]
 
+logger = logging.getLogger(__name__)
+
 _MAX_STEPS = 20_000_000
+_BLOCK = 4096  # transfer matrices held at once by the Numerov march
 _GRID_RTOL = 1e-4  # largest change of a grid kernel entry on doubling N
 _MAX_DOUBLINGS = 4  # finest grid 16 N
 
@@ -98,35 +115,106 @@ class SolverConfig:
         return L, h
 
 
-def _march(p: PhysicalParams, k: float, L: float, n_steps: int):
-    """Backward Numerov march on n_steps intervals; returns the grid and
-    the wave function as float64 complex (marched in longdouble)."""
+def _potential_nodes(p: PhysicalParams, L: float, n_steps: int) -> np.ndarray:
+    """(2m/hbar^2) V at the nodes x_j = -L + j h, j = 0..n_steps, h = 2L/n_steps.
+    Halving h is exact, so the nodes of n_steps are every other node of
+    2 n_steps bit for bit, and so are these values."""
     if n_steps > _MAX_STEPS:
         raise ValueError(f"Numerov grid of {n_steps} steps exceeds cap {_MAX_STEPS}")
+    x = -L + (2.0 * L / n_steps) * np.arange(n_steps + 1)
+    return (2.0 * p.m / p.hbar**2) * p.potential(x)
+
+
+def _suffix_states(m: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """m[i] @ m[i+1] @ ... @ m[-1] @ state for every i of a stack of 2 x 2
+    matrices: pairwise products up, then states down, O(len(m)) products."""
+    if len(m) == 1:
+        return m @ state
+    if len(m) % 2:
+        last = m[-1] @ state
+        return np.concatenate([_suffix_states(m[:-1], last), last[None]])
+    even = _suffix_states(m[0::2] @ m[1::2], state)
+    out = np.empty_like(m)
+    out[0::2] = even
+    out[1::2] = m[1::2] @ np.concatenate([even[1:], state[None]])
+    return out
+
+
+def _march(k: float, L: float, g: np.ndarray, w: int):
+    """Backward Numerov march on the len(g) - 1 intervals of [-L, L], where g
+    holds (2m/hbar^2) V at the nodes, seeded with e^{ikx} at the last two;
+    returns the nodes 0..w and the wave function there as float64.
+
+    The step a_{j-1} psi_{j-1} = b_j psi_j - a_{j+1} psi_{j+1} is the 2 x 2
+    matrix M_j taking (psi_j, psi_{j+1}) to (psi_{j-1}, psi_j), used in the
+    basis T = [[cos t, sin t], [1, 0]] (2 cos t = b/a far from the barrier),
+    where a free step is a rotation by t.  The matrices past the window are
+    multiplied pairwise in longdouble, a block of _BLOCK at a time, and a
+    suffix scan over the window's matrices gives psi at every window node.
+    """
     ld = np.longdouble
-    h = ld(2.0 * L) / n_steps
-    x = -ld(L) + h * np.arange(n_steps + 1, dtype=ld)
-    f = (2.0 * ld(p.m) / ld(p.hbar) ** 2) * (
-        ld(p.v0) / np.cosh(ld(p.omega) * x) ** 2 - ld(p.hbar * p.hbar) * ld(k) ** 2 / (2.0 * ld(p.m))
-    )
+    n = len(g) - 1
+    h = ld(2.0 * L) / n
     c = h * h / 12.0
-    a = 1.0 - c * f
-    b = 2.0 + 10.0 * c * f
-    pr = np.empty(n_steps + 1, dtype=ld)
-    pi = np.empty(n_steps + 1, dtype=ld)
-    kl = ld(k)
-    pr[-1] = np.cos(kl * x[-1])
-    pi[-1] = np.sin(kl * x[-1])
-    pr[-2] = np.cos(kl * x[-2])
-    pi[-2] = np.sin(kl * x[-2])
-    for j in range(n_steps - 1, 0, -1):
-        bj = b[j]
-        aj1 = a[j + 1]
-        aj0 = a[j - 1]
-        pr[j - 1] = (bj * pr[j] - aj1 * pr[j + 1]) / aj0
-        pi[j - 1] = (bj * pi[j] - aj1 * pi[j + 1]) / aj0
-    psi = pr.astype(float) + 1j * pi.astype(float)
-    return x.astype(float), psi
+    phi = -c * ld(k) ** 2  # c f far from the barrier, f = (2m/hbar^2)(V - E)
+    if not phi > -0.5:
+        raise StepTooCoarseError(
+            f"Numerov step {float(h):.3e} puts k h = {k * float(h):.3f} at or past the "
+            f"scheme's stability limit sqrt(6) at k={k}; reduce step"
+        )
+    a_inf = 1.0 - phi
+    cos_t = (1.0 + 5.0 * phi) / a_inf  # b/(2a) far from the barrier
+    sin_t = np.sqrt(-12.0 * phi * (1.0 + 2.0 * phi)) / a_inf
+    c_d, a_d, cos_d, sin_d = float(c), float(a_inf), float(cos_t), float(sin_t)
+
+    def matrices(lo: int, hi: int) -> np.ndarray:
+        # T^-1 M_j T = [[cos, sin], [(cos db - da)/sin - sin, cos + db]] for
+        # j = lo..hi, with db = b_j/a_{j-1} - 2 cos and da = a_{j+1}/a_{j-1} - 1.
+        # Both are proportional to V and formed from it without cancellation,
+        # in double: their rounding perturbs the barrier by 1e-16 relative,
+        # while the free parts cos and sin keep longdouble.
+        y = c_d * g[lo - 1 : hi + 2]
+        y_prev, y_j, y_next = y[:-2], y[1:-1], y[2:]
+        scale = 1.0 / (a_d - y_prev)
+        db = scale * (10.0 * y_j + 2.0 * cos_d * y_prev)
+        da = scale * (y_prev - y_next)
+        out = np.empty((hi - lo + 1, 2, 2), dtype=ld)
+        out[:, 0, 0] = cos_t
+        out[:, 0, 1] = sin_t
+        out[:, 1, 0] = (cos_d * db - da) / sin_d
+        out[:, 1, 0] -= sin_t
+        out[:, 1, 1] = db
+        out[:, 1, 1] += cos_t
+        return out
+
+    # seed with the transmitted wave e^{ikx}: the state is T^-1 (psi_{n-1},
+    # psi_n), with columns (real, imaginary)
+    kx = ld(k) * (-ld(L) + h * np.arange(n - 1, n + 1, dtype=ld))
+    before, last = np.stack([np.cos(kx), np.sin(kx)], axis=1)
+    state = np.stack([last, (before - cos_t * last) / sin_t])
+
+    hi = n - 1
+    while hi > w:  # state at w = M_{w+1} ... M_{n-1} state at n - 1
+        lo = max(w + 1, hi - _BLOCK + 1)
+        m = matrices(lo, hi)
+        while len(m) > 1:
+            if len(m) % 2:  # the odd one out acts on the state first
+                state = m[-1] @ state
+                m = m[:-1]
+            m = m[0::2] @ m[1::2]
+        state = m[0] @ state
+        hi = lo - 1
+
+    psi = np.empty((w + 1, 2), dtype=ld)
+    psi[w] = cos_t * state[0] + sin_t * state[1]
+    while hi > 0:  # states at lo - 1 .. hi - 1 from the state at hi
+        lo = max(1, hi - _BLOCK + 1)
+        states = _suffix_states(matrices(lo, hi), state)
+        psi[lo - 1 : hi] = cos_t * states[:, 0] + sin_t * states[:, 1]
+        state = states[0]
+        hi = lo - 1
+    x = -ld(L) + h * np.arange(w + 1, dtype=ld)
+    return x.astype(float), psi[:, 0].astype(float) + 1j * psi[:, 1].astype(float)
 
 
 def _window_indices(k: float, h: float, L: float, n_steps: int) -> np.ndarray:
@@ -148,8 +236,9 @@ def numerov_once(p: PhysicalParams, k: float, cfg: SolverConfig | None = None) -
     cfg = cfg or SolverConfig()
     L, h = _prepare(p, k, cfg)
     n = _even_steps(L, h)
-    x, psi = _march(p, k, L, n)
-    t, r = _match_edge(x, psi, k, _window_indices(k, 2.0 * L / n, L, n))
+    idx = _window_indices(k, 2.0 * L / n, L, n)
+    x, psi = _march(k, L, _potential_nodes(p, L, n), idx[-1])
+    t, r = _match_edge(x, psi, k, idx)
     return Amplitudes.build(k, t, r)
 
 
@@ -161,21 +250,31 @@ def numerov_amplitudes(
     Both resolutions are matched over the same physical window positions;
     the returned amplitudes are the (16*fine - coarse)/15 extrapolation and
     the pre-extrapolation spread / 15 (the standard error estimate of that
-    extrapolation) must not exceed cfg.match_tolerance.
+    extrapolation) must not exceed cfg.match_tolerance.  V is evaluated once,
+    on the h/2 grid; the h grid takes every other node.
     """
     cfg = cfg or SolverConfig()
     L, h = _prepare(p, k, cfg)
     n = _even_steps(L, h)
-    x1, psi1 = _march(p, k, L, n)
-    _, psi2 = _march(p, k, L, 2 * n)
+    g = _potential_nodes(p, L, 2 * n)
     idx = _window_indices(k, 2.0 * L / n, L, n)
-    t1, r1 = _match_edge(x1, psi1, k, idx)
-    x2 = np.linspace(-L, L, 2 * n + 1)
-    t2, r2 = _match_edge(x2, psi2, k, 2 * idx)
-    spread = max(abs(t1 - t2), abs(r1 - r2))
-    if spread / 15.0 > cfg.match_tolerance:
+    x, psi1 = _march(k, L, g[::2], idx[-1])
+    _, psi2 = _march(k, L, g, 2 * idx[-1])
+    t1, r1 = _match_edge(x, psi1, k, idx)
+    t2, r2 = _match_edge(x, psi2[::2], k, idx)
+    estimate = max(abs(t1 - t2), abs(r1 - r2)) / 15.0
+    logger.debug(
+        "Numerov at k=%g: n=%d and 2n=%d steps, Richardson error estimate %.3e "
+        "(match_tolerance %.1e)",
+        k,
+        n,
+        2 * n,
+        estimate,
+        cfg.match_tolerance,
+    )
+    if not estimate <= cfg.match_tolerance:
         raise StepTooCoarseError(
-            f"Richardson h vs h/2 comparison estimates error {spread / 15.0:.3e} "
+            f"Richardson h vs h/2 comparison estimates error {estimate:.3e} "
             f"> match_tolerance {cfg.match_tolerance:.3e} at k={k}; reduce step"
         )
     t = (16.0 * t2 - t1) / 15.0
@@ -222,9 +321,12 @@ def _eigensystem(p: PhysicalParams, L: float, N: int, tau: float):
     return xs, dx, energies, vectors
 
 
-def _grid_kernel(p: PhysicalParams, L: float, N: int, tau: float, xfs, xis) -> np.ndarray:
+def _grid_kernel(
+    p: PhysicalParams, L: float, N: int, tau: float, xfs, xis
+) -> tuple[np.ndarray, np.ndarray]:
     """Kernel matrix Phi_f diag(w) Phi_i^T / dx on one grid, where row a of
-    Phi holds the eigenvectors bilinearly interpolated to point a."""
+    Phi holds the eigenvectors bilinearly interpolated to point a, and the
+    eigenvector roundoff floor of each entry, eps N sqrt(K(xf, xf) K(xi, xi))."""
     xs, dx, energies, vectors = _eigensystem(p, L, N, tau)
     # sqrt(w) on both sides: entry (a, b) then multiplies the same numbers as
     # entry (b, a) of the swapped call, so K(xf, xi) == K(xi, xf) bit for bit
@@ -237,7 +339,11 @@ def _grid_kernel(p: PhysicalParams, L: float, N: int, tau: float, xfs, xis) -> n
         frac = ((xq - xs[j]) / dx)[:, None]
         return ((1.0 - frac) * vectors[j] + frac * vectors[j + 1]) * root_w
 
-    return rows(xfs) @ rows(xis).T / dx
+    phi_f, phi_i = rows(xfs), rows(xis)
+    # K(x, x) is the squared norm of row x over dx; the eigenvector error
+    # grows with N, so an entry far below its diagonals drowns as N grows
+    norms = np.outer(np.linalg.norm(phi_f, axis=1), np.linalg.norm(phi_i, axis=1))
+    return phi_f @ phi_i.T / dx, np.finfo(float).eps * N * norms / dx
 
 
 def grid_propagator_matrix(
@@ -248,7 +354,9 @@ def grid_propagator_matrix(
 
     N is the starting grid.  Each entry is the value on the coarsest grid
     N, 2N, 4N, 8N whose doubling changes it by at most 1e-4 relative; an
-    entry that still moves between 8N and 16N is the error.
+    entry that still moves between 8N and 16N is the error.  So is an entry
+    whose eigenvector roundoff floor, eps N sqrt(K(xf, xf) K(xi, xi)), passes
+    1e-4 of it on the doubled grid: refining further only raises the floor.
     """
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -260,18 +368,30 @@ def grid_propagator_matrix(
         raise ValueError("xf, xi must lie strictly inside (-L, L)")
     kernel = np.full((len(xfs), len(xis)), np.nan)
     pending = np.ones(kernel.shape, dtype=bool)
-    value = _grid_kernel(p, L, N, tau, xfs, xis)
+    refused = {}
+    value, _ = _grid_kernel(p, L, N, tau, xfs, xis)
     for doubling in range(_MAX_DOUBLINGS):
         n = N << doubling
-        refined = _grid_kernel(p, L, 2 * n, tau, xfs, xis)
+        refined, floor = _grid_kernel(p, L, 2 * n, tau, xfs, xis)
+        gate = _GRID_RTOL * np.abs(refined)
+        for a, b in zip(*np.nonzero(pending & (floor > gate))):
+            refused[a, b] = ConvergenceError(
+                f"grid kernel {refined[a, b]:.3e} cannot be resolved to {_GRID_RTOL:.0e} "
+                f"relative: its eigenvector roundoff floor eps*N*sqrt(K(xf,xf)*K(xi,xi)) = "
+                f"{floor[a, b]:.3e} exceeds {gate[a, b]:.3e} at N={2 * n} "
+                f"(started at N={N}), and refining raises the floor"
+            )
+            pending[a, b] = False
         change = np.abs(refined - value)
-        passed = pending & (change <= _GRID_RTOL * np.abs(refined))
+        passed = pending & (change <= gate)
         kernel[passed] = value[passed]
         pending &= ~passed
         if not pending.any():
             break
         value = refined
     results = kernel.tolist()
+    for (a, b), error in refused.items():
+        results[a][b] = error
     for a, b in zip(*np.nonzero(pending)):
         results[a][b] = ConvergenceError(
             f"grid kernel changed by {change[a, b] / abs(refined[a, b]):.3e} relative "

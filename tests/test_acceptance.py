@@ -21,7 +21,7 @@ from coshbar import (
     spectral_kernel,
     wavefunctions,
 )
-from coshbar.oracle import SolverConfig
+from coshbar.cli import RunConfig, _oracle_cfg_for
 from coshbar.special import log_gamma
 
 V8_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 20.0)
@@ -77,22 +77,13 @@ def test_criterion_3_delta_barrier_limit():
     assert devs[-1] < 1e-3
 
 
-def oracle_config(kappa: float) -> SolverConfig:
-    # Box and step tight enough that even |R| ~ 2e-8 rows (weak barrier,
-    # fast particle) resolve to 1e-6 relative after extrapolation.
-    return SolverConfig(
-        box_half_width=max(16.0, 10.0 / kappa),
-        step=min(2 * math.pi / (40 * kappa), 1.0 / 40.0, 0.012 / kappa),
-    )
-
-
 def test_criterion_4_oracle_equivalence():
     worst = 0.0
     for v8 in V8_GRID:
         for kappa in KAPPA_GRID:
             p, idx = index_of(v8, kappa)
             amp = amplitudes(idx)
-            orc = numerov_amplitudes(p, kappa, oracle_config(kappa))
+            orc = numerov_amplitudes(p, kappa, _oracle_cfg_for(RunConfig(), kappa))
             worst = max(
                 worst,
                 abs(abs(orc.t) - abs(amp.t)) / abs(amp.t),

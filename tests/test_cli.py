@@ -195,6 +195,23 @@ def test_propagator_unresolvable_pair_flags_only_its_rows():
             assert row["flag"].startswith("error: grid kernel")
 
 
+def test_propagator_entries_below_the_roundoff_floor_are_refused_alike(tmp_path):
+    # K(+-6, 0) = K(0, +-6) is about 5.8e-9 against diagonals of 0.3-0.4. On
+    # the N = 9600 grid its eigenvector roundoff floor passes 1e-4 of it, so
+    # all four mirror images are refused there and none passes on a lucky
+    # rounding; K(+-6, -+6) is about 2e-32 and is refused at once.
+    main_args = ["propagator", "--v0", "0.25", "--tau", "1", "--points=-6,0,6"]
+    _, rows, code = cmd_propagator(RunConfig(v0=0.25, tau=1.0, points=(-6.0, 0.0, 6.0)))
+    assert code == 3 == main(main_args + ["--out", str(tmp_path / "kernel.csv")])
+    flags = {(row["xf"], row["xi"]): row["flag"] for row in rows}
+    for xf, xi in ((-6.0, 0.0), (6.0, 0.0), (0.0, -6.0), (0.0, 6.0), (-6.0, 6.0), (6.0, -6.0)):
+        assert flags[xf, xi].startswith("error: grid kernel")
+        assert "roundoff floor" in flags[xf, xi]
+    for x in (-6.0, 0.0, 6.0):
+        assert flags[x, x] == ""
+    assert "at N=9600 (started at N=1200)" in flags[6.0, 0.0]
+
+
 def test_verify_all_suites_pass():
     report, code = cmd_verify(RunConfig())
     assert code == 0

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -12,7 +13,18 @@ from coshbar import (
     numerov_once,
     reduce,
 )
-from coshbar.oracle import SolverConfig, _eigensystem, grid_propagator_matrix
+from coshbar.cli import RunConfig, _oracle_cfg_for
+from coshbar.oracle import (
+    SolverConfig,
+    _eigensystem,
+    _even_steps,
+    _march,
+    _match_edge,
+    _potential_nodes,
+    _prepare,
+    _window_indices,
+    grid_propagator_matrix,
+)
 
 
 def params_for(v8, omega=1.0, m=1.0, hbar=1.0):
@@ -108,6 +120,123 @@ def test_solver_config_validation():
         SolverConfig(grid_points=4)
     with pytest.raises(ValueError):
         SolverConfig(match_tolerance=2.0)
+
+
+def _sequential_march(p, k, L, n):
+    """The step-by-step longdouble Numerov loop over all n intervals, kept as
+    the reference for the transfer-matrix march."""
+    ld = np.longdouble
+    h = ld(2.0 * L) / n
+    x = -ld(L) + h * np.arange(n + 1, dtype=ld)
+    f = (2.0 * ld(p.m) / ld(p.hbar) ** 2) * (
+        ld(p.v0) / np.cosh(ld(p.omega) * x) ** 2 - ld(p.hbar * p.hbar) * ld(k) ** 2 / (2.0 * ld(p.m))
+    )
+    c = h * h / 12.0
+    a = 1.0 - c * f
+    b = 2.0 + 10.0 * c * f
+    pr = np.empty(n + 1, dtype=ld)
+    pi = np.empty(n + 1, dtype=ld)
+    pr[-2:] = np.cos(ld(k) * x[-2:])
+    pi[-2:] = np.sin(ld(k) * x[-2:])
+    for j in range(n - 1, 0, -1):
+        pr[j - 1] = (b[j] * pr[j] - a[j + 1] * pr[j + 1]) / a[j - 1]
+        pi[j - 1] = (b[j] * pi[j] - a[j + 1] * pi[j + 1]) / a[j - 1]
+    return x.astype(float), pr.astype(float) + 1j * pi.astype(float)
+
+
+def _verify_grid(v8, kappa):
+    """The coarse grid and match window of the verify oracle suite."""
+    p = params_for(v8)
+    L, h = _prepare(p, kappa, _oracle_cfg_for(RunConfig(), kappa))
+    n = _even_steps(L, h)
+    return p, L, n, _window_indices(kappa, 2.0 * L / n, L, n)
+
+
+@pytest.mark.parametrize("v8, kappa", [(0.1, 5.0), (20.0, 0.1), (0.0, 1.0)])
+def test_march_matches_sequential_loop(v8, kappa):
+    p, L, n, idx = _verify_grid(v8, kappa)
+    t_ref, r_ref = _match_edge(*_sequential_march(p, kappa, L, n), kappa, idx)
+    x, psi = _march(kappa, L, _potential_nodes(p, L, n), idx[-1])
+    t, r = _match_edge(x, psi, kappa, idx)
+    assert abs(t - t_ref) <= 1e-9 * abs(t_ref)
+    if v8 == 0.0:
+        # R = 3.1e-11 is only the e^{ikx} seed's mismatch with the discrete
+        # wave, and the loop's own roundoff moves it by 2.4e-16 (7.7e-6
+        # relative, against the 40-digit referee below): hold R to that.
+        assert abs(r - r_ref) <= 1e-15
+    else:
+        assert abs(r - r_ref) <= 5e-7 * abs(r_ref)
+
+
+def _mpmath_window(p, k, L, n, w):
+    """psi at nodes 0..w from the Numerov recurrence run in 40-digit mpmath,
+    with the nodes and V computed in mpmath too."""
+    mp = pytest.importorskip("mpmath")
+    ctx = mp.mp.clone()
+    ctx.dps = 40
+    h = ctx.mpf(2 * L) / n
+    c = h * h / 12
+    scale = 2 * ctx.mpf(p.m) / ctx.mpf(p.hbar) ** 2
+    energy = (ctx.mpf(p.hbar) * k) ** 2 / (2 * ctx.mpf(p.m))
+
+    def a_b(j):
+        f = scale * (ctx.mpf(p.v0) / ctx.cosh(p.omega * (j * h - L)) ** 2 - energy)
+        return 1 - c * f, 2 + 10 * c * f
+
+    psi_next, psi = ctx.expj(k * (n * h - L)), ctx.expj(k * ((n - 1) * h - L))
+    (a_next, _), (a_j, b_j) = a_b(n), a_b(n - 1)
+    window = [None] * (w + 1)
+    for j in range(n - 1, 0, -1):
+        a_prev, b_prev = a_b(j - 1)
+        psi_next, psi = psi, (b_j * psi - a_next * psi_next) / a_prev
+        a_next, a_j, b_j = a_j, a_prev, b_prev
+        if j - 1 <= w:
+            window[j - 1] = complex(psi)
+    return np.array(window)
+
+
+@pytest.mark.parametrize(
+    "v8, kappa, r_tol",
+    [
+        (0.1, 5.0, 1e-7),  # 13,334 steps, window 523; the loop is off by 1.3e-8
+        (0.0, 1.0, 1e-6),  # |R| = 3.1e-11; the loop is off by 7.7e-6
+    ],
+)
+def test_march_matches_mpmath_recurrence(v8, kappa, r_tol):
+    p, L, n, idx = _verify_grid(v8, kappa)
+    reference = _mpmath_window(p, kappa, L, n, idx[-1])
+    x, psi = _march(kappa, L, _potential_nodes(p, L, n), idx[-1])
+    t_ref, r_ref = _match_edge(x, reference, kappa, idx)
+    t, r = _match_edge(x, psi, kappa, idx)
+    assert abs(t - t_ref) <= 1e-12 * abs(t_ref)
+    assert abs(r - r_ref) <= r_tol * abs(r_ref)
+
+
+def test_coarse_grid_reuses_fine_potential_bit_for_bit():
+    p = params_for(2.0)
+    fine = _potential_nodes(p, 16.0, 2 * 2668)
+    assert np.array_equal(fine[::2], _potential_nodes(p, 16.0, 2668))
+
+
+def test_march_past_stability_limit_raises():
+    # Numerov's free step is a rotation only while k h < sqrt(6).
+    p = params_for(2.0)
+    with pytest.raises(StepTooCoarseError, match="stability limit"):
+        numerov_once(p, 1.0, SolverConfig(box_half_width=16.0, step=2.7))
+
+
+def test_richardson_estimate_is_logged(caplog):
+    p = params_for(2.0)
+    cfg = SolverConfig(box_half_width=16.0)
+    quiet = numerov_amplitudes(p, 1.0, cfg)
+    with caplog.at_level(logging.DEBUG, logger="coshbar.oracle"):
+        logged = numerov_amplitudes(p, 1.0, cfg)
+    assert logged == quiet
+    (record,) = [r for r in caplog.records if r.name == "coshbar.oracle"]
+    assert record.levelno == logging.DEBUG
+    n = _even_steps(*cfg.resolve(p, 1.0))
+    assert f"n={n} and 2n={2 * n} steps" in record.getMessage()
+    assert "Richardson error estimate" in record.getMessage()
 
 
 def test_thread_safe_concurrent_solves():
@@ -236,10 +365,12 @@ def _node_weights(xs, dx, x):
 
 
 def test_grid_unresolved_entry_reports_the_finest_doubling():
-    # Eigenvector roundoff leaves the tiny kernel at (0, 6) (about 6e-9 of
-    # a diagonal 0.4) moving by ~7e-4 between N = 9600 and 19200.
+    # The tiny kernel at (0, 6) (about 6e-9 of a diagonal 0.4) sinks below
+    # its eigenvector roundoff floor: on the N = 9600 grid the floor, 7.6e-13,
+    # passes 1e-4 of the entry, so it is refused there, not refined further.
     p = params_for(2.0)
     matrix = grid_propagator_matrix(p, 11.0, 1200, 1.0, (0.0,), (0.0, 6.0))
     assert matrix[0][0] > 0
     assert isinstance(matrix[0][1], ConvergenceError)
     assert "N=9600 (started at N=1200)" in str(matrix[0][1])
+    assert "roundoff floor" in str(matrix[0][1])
