@@ -33,6 +33,7 @@ from .scattering import (
     asymptotic_extract,
     connection_coefficients,
     s_function,
+    wavefunction_samples,
     wavefunctions,
 )
 from .special import hyp2f1, legendre_P, legendre_P_tanh, log_gamma
@@ -50,6 +51,7 @@ __all__ = [
     "s_function",
     "connection_coefficients",
     "wavefunctions",
+    "wavefunction_samples",
     "asymptotic_extract",
     "SolverConfig",
     "numerov_amplitudes",

@@ -12,7 +12,8 @@ flags; units default to hbar = m = 1 so users specify only (omega, v0, k).
 CSV output carries a fixed column order, 17 significant digits, '.' decimal
 separator and LF line endings, so identical configs give byte-identical
 files.  Rows are computed and written in input order; a scatter sweep is
-one array computation over all its wavenumbers.
+one array computation over all its wavenumbers, and a wavefunction command
+one over its x grid, with the route check applied per point.
 
 Exit codes: 0 all residuals in contract, 1 residual/check failure,
 2 configuration error, 3 numerical failure (failed rows are flagged).
@@ -44,7 +45,7 @@ from .scattering import (
     asymptotic_extract,
     connection_coefficients,
     s_function,
-    wavefunctions,
+    wavefunction_samples,
 )
 from .special import hyp2f1, legendre_P
 
@@ -251,12 +252,11 @@ def cmd_wavefunction(cfg: RunConfig) -> tuple[tuple[str, ...], list[dict], dict 
     p = cfg.params
     idx = reduce(p, k)
 
+    samples = wavefunction_samples(idx, p, cfg.x_values)
     rows = []
-    for x in cfg.x_values:
-        try:
-            w = wavefunctions(idx, p, x)
-        except (NumericalError, ValueError) as exc:
-            rows.append(_error_row(WAVEFUNCTION_COLUMNS, exc, x=x))
+    for x, w in zip(cfg.x_values, samples):
+        if isinstance(w, Exception):
+            rows.append(_error_row(WAVEFUNCTION_COLUMNS, w, x=x))
             continue
         rows.append({
             "x": x,
@@ -264,20 +264,12 @@ def cmd_wavefunction(cfg: RunConfig) -> tuple[tuple[str, ...], list[dict], dict 
             "re_psi_left": w.psi_left.real, "im_psi_left": w.psi_left.imag,
             "flag": "",
         })
-    failed = any(str(r["flag"]).startswith("error") for r in rows)
+    failed = any(isinstance(w, Exception) for w in samples)
 
     asymptotics = None
-    far = [r for r in rows if not str(r["flag"]) and abs(p.omega * r["x"]) >= 8.0]
-    if sum(1 for r in far if r["x"] < 0) >= 4 and sum(1 for r in far if r["x"] > 0) >= 4:
-        samples = [
-            WaveSample(
-                x=r["x"],
-                psi_right=complex(r["re_psi_right"], r["im_psi_right"]),
-                psi_left=complex(r["re_psi_left"], r["im_psi_left"]),
-            )
-            for r in far
-        ]
-        fit = asymptotic_extract(samples, idx, p)
+    far = [w for w in samples if isinstance(w, WaveSample) and abs(p.omega * w.x) >= 8.0]
+    if sum(1 for w in far if w.x < 0) >= 4 and sum(1 for w in far if w.x > 0) >= 4:
+        fit = asymptotic_extract(far, idx, p)
         amp = amplitudes(idx)
         asymptotics = {
             "fit_re_t": fit.t.real, "fit_im_t": fit.t.imag,

@@ -252,6 +252,13 @@ def numerov_amplitudes(
     the pre-extrapolation spread / 15 (the standard error estimate of that
     extrapolation) must not exceed cfg.match_tolerance.  V is evaluated once,
     on the h/2 grid; the h grid takes every other node.
+
+    The gate is absolute, max(|dT|, |dR|) / 15, and T dominates it, so a
+    weak R can pass with a large relative error: with the default
+    SolverConfig at v8 = 0.1, k = 5 (|R| = 2.4e-8) the estimate is 4.5e-7
+    and the returned R is 3.6e-3 relative off the closed form.  `coshbar
+    verify` holds R to its 1e-6 relative residual only through the step
+    rule of cli._oracle_cfg_for (h = 0.012/k there: estimate 4.2e-10).
     """
     cfg = cfg or SolverConfig()
     L, h = _prepare(p, k, cfg)

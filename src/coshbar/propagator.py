@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, unwrap
+from .errors import ConvergenceError, NumericalError, unwrap
 from .params import PhysicalParams, reduce
 from .special import _half_tanh, _hyp2f1_core, log_gamma
 
@@ -112,8 +112,8 @@ def _radius(p: PhysicalParams, tau: float, n: int, d: float) -> float:
 
 def _contour_sums(p: PhysicalParams, nu: complex, tau: float, n: int, r: float, pairs) -> list:
     """The n-node Talbot sum of radius r for each (x>, x<) in pairs, as
-    (K, roundoff), or the NumericalError a 2F1 table of one of its points
-    raised."""
+    (K, roundoff), or the ConvergenceError of a 2F1 table of one of its
+    points that is not finite."""
     theta = np.arange(1, n) * (math.pi / n)
     cot = 1.0 / np.tan(theta)
     s = np.concatenate(([r], r * theta * (cot + 1j)))
@@ -126,10 +126,10 @@ def _contour_sums(p: PhysicalParams, nu: complex, tau: float, n: int, r: float, 
     size = np.abs(s * tau) + np.abs(lg).sum(axis=0) + np.abs(lg[2]) + 8.0
     tables = {}
     for beta in {a for xg, xl in pairs for a in (p.omega * xg, -p.omega * xl)}:
-        try:
-            tables[beta] = _hyp2f1_core(-nu, nu + 1.0, 1.0 + order, *_half_tanh(beta))
-        except NumericalError as exc:
-            tables[beta] = exc
+        table = _hyp2f1_core(-nu, nu + 1.0, 1.0 + order, *_half_tanh(beta))
+        tables[beta] = table if np.isfinite(table).all() else ConvergenceError(
+            f"2F1 table at omega x = {beta:g} not resolvable in float64 (overflow or no convergence)"
+        )
     out = []
     for xg, xl in pairs:
         upper, lower = tables[p.omega * xg], tables[-p.omega * xl]

@@ -12,7 +12,9 @@ of gamma functions,
 All gamma ratios are combined in log space so that kappa up to 120 stays
 usable despite the exponentially small |Gamma(i*kappa)| magnitudes.  T, R
 and S have one implementation over arrays of kappa at fixed nu; the scalar
-BarrierIndex functions call it with one kappa.
+BarrierIndex functions call it with one kappa.  The wave functions have one
+over arrays of x (wavefunction_samples), and wavefunctions is its one-point
+case.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedFitError, NumericalError
+from .errors import ConvergenceError, IllConditionedFitError, NumericalError, unwrap
 from .params import BarrierIndex, PhysicalParams
-from .special import _exp_lg_sum, _half_tanh, _hyp2f1_core, legendre_P_tanh, log_gamma
+from .special import _exp_lg_sum, _half_tanh, _hyp2f1_core, _legendre_core, log_gamma
 
 __all__ = [
     "Amplitudes",
@@ -36,6 +38,7 @@ __all__ = [
     "s_function",
     "connection_coefficients",
     "wavefunctions",
+    "wavefunction_samples",
     "asymptotic_extract",
 ]
 
@@ -82,21 +85,6 @@ class WaveSample:
     x: float
     psi_right: complex
     psi_left: complex
-
-
-def _norm_denominator_sq(nu: complex, kappa: float) -> float:
-    """sin(pi(nu - i kappa)) * sin(pi(nu + i kappa)) = sin^2(pi nu) + sinh^2(pi kappa).
-
-    This is the square of the normalization denominator of the scattering
-    states.  For real nu it coincides with |sin(pi(nu - i kappa))|^2; for nu
-    on the critical line Re(nu) = -1/2 it is the analytic continuation of
-    that expression (equal to cosh(pi(kappa-lam))*cosh(pi(kappa+lam)) with
-    lam = Im nu), which is the combination actually required for the states
-    to be delta-normalized in energy -- the absolute-value form breaks
-    completeness for strong barriers, as the grid-Hamiltonian oracle
-    confirms.  Real and positive for every nu produced by reduce()."""
-    s2 = cmath.sin(math.pi * complex(nu)) ** 2
-    return s2.real + math.sinh(math.pi * kappa) ** 2
 
 
 def _require_positive_kappa(kappa, what: str) -> None:
@@ -200,59 +188,97 @@ def connection_coefficients(idx: BarrierIndex) -> ConnectionCoefficients:
     return ConnectionCoefficients(a=a, b=b)
 
 
-def _normalization(idx: BarrierIndex, p: PhysicalParams) -> float:
-    """Energy-normalization prefactor sqrt(m/(2 hbar^2 omega)) *
-    sinh^(1/2)(pi kappa) / sqrt(sin^2(pi nu) + sinh^2(pi kappa))."""
-    return (
-        math.sqrt(p.m / (2.0 * p.hbar**2 * p.omega))
-        * math.sqrt(math.sinh(math.pi * idx.kappa))
-        / math.sqrt(_norm_denominator_sq(idx.nu, idx.kappa))
-    )
+def _log_cosh(y: float) -> float:
+    y = abs(y)
+    return y + math.log1p(math.exp(-2.0 * y)) - math.log(2.0)
 
 
-def wavefunctions(idx: BarrierIndex, p: PhysicalParams, x: float) -> WaveSample:
-    """Right- and left-moving energy-normalized wave functions at x.
+def _log_normalization(idx: BarrierIndex, p: PhysicalParams) -> float:
+    """Log of the energy-normalization prefactor sqrt(m/(2 hbar^2 omega)) *
+    sinh^(1/2)(pi kappa) / sqrt(D), with
+
+        D = sin(pi(nu - i kappa)) sin(pi(nu + i kappa)) = sin^2(pi nu) + sinh^2(pi kappa).
+
+    For real nu, D coincides with |sin(pi(nu - i kappa))|^2; for nu on the
+    critical line nu = -1/2 + i lam it is the analytic continuation of that
+    expression, cosh(pi(kappa - lam)) cosh(pi(kappa + lam)), which is the
+    combination actually required for the states to be delta-normalized in
+    energy -- the absolute-value form breaks completeness for strong
+    barriers, as the grid-Hamiltonian oracle confirms.  In logs, D does not
+    overflow at strong barriers (lam ~ 500 at v8 = 1e6) or kappa = 120, and
+    the prefactor (about e^(-pi lam)) meets the 2F1's gamma prefactors
+    before either leaves the float64 range.  nu must be real or on the
+    critical line, as reduce() makes it."""
+    nu, y = complex(idx.nu), math.pi * idx.kappa
+    log_sinh = y + math.log(-math.expm1(-2.0 * y)) - math.log(2.0)
+    if nu.imag == 0.0:
+        log_d = 2.0 * log_sinh + math.log1p((math.sin(math.pi * nu.real) * math.exp(-log_sinh)) ** 2)
+    else:
+        log_d = _log_cosh(y - math.pi * nu.imag) + _log_cosh(y + math.pi * nu.imag)
+    return 0.5 * (math.log(p.m / (2.0 * p.hbar**2 * p.omega)) + log_sinh - log_d)
+
+
+def wavefunction_samples(
+    idx: BarrierIndex, p: PhysicalParams, xs
+) -> list[WaveSample | NumericalError | ValueError]:
+    """Right- and left-moving energy-normalized wave functions at every x
+    in xs, as one array computation.
 
     psi_right carries Legendre argument +tanh(omega x), psi_left the mirror
     argument.  Each value is computed twice, through P_nu^{i kappa} and
-    through the transformed hypergeometric form, and the two routes must
-    agree to 1e-10 of the plane-wave amplitude scale.
+    through the transformed hypergeometric form, and at each x the two
+    routes must agree to 1e-10 of the plane-wave amplitude scale.  The
+    result holds, per x, a WaveSample or the error of that point alone: a
+    NumericalError where a route is not finite in float64 or the routes
+    disagree, a ValueError where x is not finite.  kappa <= 0 raises
+    ValueError for the whole call.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
     _require_positive_kappa(idx.kappa, "wavefunctions")
-    nu = complex(idx.nu)
-    kappa = idx.kappa
+    nu, kappa = complex(idx.nu), idx.kappa
     mu = 1j * kappa
-    alpha = p.omega * x
-    norm = _normalization(idx, p)
-
-    psi_right = norm * legendre_P_tanh(nu, mu, alpha)
-    psi_left = norm * legendre_P_tanh(nu, mu, -alpha)
-
+    xs = np.asarray(xs, dtype=float)
+    finite = np.isfinite(xs)
+    alpha = p.omega * np.where(finite, xs, 0.0)
+    both = np.concatenate((alpha, -alpha))  # psi_right, then psi_left
+    z, log_w = _half_tanh(both)
+    log_norm = _log_normalization(idx, p)
+    lg = complex(log_gamma(1.0 - mu))
+    direct = _legendre_core(nu, mu, z, log_w, both, log_norm)
     # Independent route: prefactor [(1 - tanh^2)/4]^(-i kappa/2) times
     # F(1+nu-ik, -nu-ik; 1-ik; (1 -+ tanh)/2), sharing no parameter set with
     # the Legendre route.
-    log_2cosh = abs(alpha) + math.log1p(math.exp(-2.0 * abs(alpha)))
-    pref = norm * cmath.exp(1j * kappa * log_2cosh - complex(log_gamma(1.0 - mu)))
-    alt_right = pref * complex(
-        _hyp2f1_core(1.0 + nu - mu, -nu - mu, 1.0 - mu, *_half_tanh(alpha))
-    )
-    alt_left = pref * complex(
-        _hyp2f1_core(1.0 + nu - mu, -nu - mu, 1.0 - mu, *_half_tanh(-alpha))
-    )
+    log_alt = log_norm + 1j * kappa * (both - log_w) - lg  # both - log_w = log(2 cosh(omega x))
+    alt = _hyp2f1_core(1.0 + nu - mu, -nu - mu, 1.0 - mu, z, log_w, log_alt)
+    scale = math.exp(log_norm - lg.real)  # |c| of c*e^{ikx}
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(direct - alt).reshape(2, -1)
+        agree = (diff <= 1e-10 * (scale + np.abs(direct)).reshape(2, -1)).tolist()
+    resolved = (np.isfinite(direct) & np.isfinite(alt)).reshape(2, -1).all(axis=0).tolist()
+    values = direct.reshape(2, -1).tolist()
+    out = []
+    for i, x in enumerate(xs.tolist()):
+        if not finite[i]:
+            out.append(ValueError(f"x must be finite, got {x!r}"))
+        elif not resolved[i]:
+            out.append(ConvergenceError(
+                f"wavefunction not resolvable at x={x}: a 2F1 of its two routes overflows "
+                "float64 or does not converge"
+            ))
+        elif not (agree[0][i] and agree[1][i]):
+            side = 0 if not agree[0][i] else 1
+            out.append(NumericalError(
+                f"wavefunction routes disagree for {('psi_right', 'psi_left')[side]} "
+                f"at x={x}: |diff| = {diff[side, i]:.3e}"
+            ))
+        else:
+            out.append(WaveSample(x=x, psi_right=values[0][i], psi_left=values[1][i]))
+    return out
 
-    scale = norm * math.exp(-complex(log_gamma(1.0 - mu)).real)  # |c| of c*e^{ikx}
-    for direct, alt, tag in (
-        (psi_right, alt_right, "psi_right"),
-        (psi_left, alt_left, "psi_left"),
-    ):
-        if abs(direct - alt) > 1e-10 * (scale + abs(direct)):
-            raise NumericalError(
-                f"wavefunction routes disagree for {tag} at x={x}: "
-                f"|diff| = {abs(direct - alt):.3e}"
-            )
-    return WaveSample(x=x, psi_right=psi_right, psi_left=psi_left)
+
+def wavefunctions(idx: BarrierIndex, p: PhysicalParams, x: float) -> WaveSample:
+    """Right- and left-moving energy-normalized wave functions at x: the
+    one-point case of wavefunction_samples, raising the error it holds."""
+    return unwrap(wavefunction_samples(idx, p, [x])[0])
 
 
 def _fit_plane_waves(xs, values, k, columns):

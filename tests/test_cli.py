@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +132,28 @@ def test_wavefunction_asymptotics_footer():
     assert code == 0
     assert asym is not None
     assert asym["dev_t"] < 1e-6 and asym["dev_r"] < 1e-6
+
+
+def test_wavefunction_strong_barrier_rows_are_values_or_flagged(tmp_path):
+    # v8 = 1e6 (Im nu ~ 500): sin(pi nu)^2 in the normalization overflowed
+    # (a traceback), and the 2F1 prefactors of about e^1571 meet the
+    # normalization of about e^-1571 only in logs.  Every row is a finite
+    # value or flagged with nan; the tails resolve.
+    out = tmp_path / "wf.csv"
+    args = ["wavefunction", "--v0", "125000", "--k", "1", "--x-range=-30:30:13"]
+    code = main(args + ["--out", str(out)])
+    assert code == 3
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    rows = [line.split(",", 5) for line in lines[1:]]
+    assert len(rows) == 13
+    for row in rows:
+        values = [float(v) for v in row[1:5]]
+        if row[5]:
+            assert row[5].startswith("error") and all(math.isnan(v) for v in values)
+        else:
+            assert all(math.isfinite(v) for v in values)
+    resolved = [float(row[0]) for row in rows if not row[5]]
+    assert resolved == [-30, -25, -20, -15, -10, -5, 5, 10, 15, 20, 25, 30]
 
 
 def test_propagator_rows():
@@ -298,16 +321,19 @@ def test_json_output_schema(tmp_path):
 
 def test_cli_subprocess_smoke(tmp_path):
     root = Path(__file__).resolve().parents[1]
+    # The child imports the checkout's src/, as pytest's pythonpath does here.
+    paths = (str(root / "src"), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     out = tmp_path / "sweep.csv"
     cmd = [
         sys.executable, "-m", "coshbar", "scatter",
         "--omega", "1", "--v0", "0.25", "--k-range", "0.5:2:4",
         "--out", str(out),
     ]
-    subprocess.run(cmd, check=True, cwd=root)
+    subprocess.run(cmd, check=True, cwd=root, env=env)
     lines = out.read_text().splitlines()
     assert len(lines) == 5  # header + 4 rows
     cmd = [sys.executable, "-m", "coshbar", "verify", "--suite", "unitarity"]
-    proc = subprocess.run(cmd, check=True, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(cmd, check=True, cwd=root, env=env, capture_output=True, text=True)
     report = json.loads(proc.stdout)
     assert all(case["pass"] for case in report[0]["cases"])

@@ -13,6 +13,7 @@ from coshbar import (
     numerov_amplitudes,
     reduce,
     s_function,
+    wavefunction_samples,
     wavefunctions,
 )
 from coshbar.oracle import SolverConfig
@@ -165,6 +166,7 @@ def test_wavefunction_parity():
     b = wavefunctions(idx, p, -0.6)
     assert a.psi_left == b.psi_right
     assert a.psi_right == b.psi_left
+    assert wavefunction_samples(idx, p, []) == []
 
 
 def test_wavefunction_value_frozen_reference():

@@ -15,6 +15,7 @@ from coshbar import (
     log_gamma,
 )
 from coshbar.params import PhysicalParams, reduce
+from coshbar.special import _hyp2f1_core
 
 
 def reference_2f1(a, b, c, z, terms=4000):
@@ -184,6 +185,20 @@ def test_hyp2f1_nonconvergence_error():
         hyp2f1(4e4, 4e4, 1.0 + 1j, 0.45)
 
 
+def test_hyp2f1_core_fails_only_the_elements_it_cannot_resolve():
+    # One call over z on both sides of 1/2, with a degenerate connection
+    # (c - a - b = 0) in one element and an overflowing series in another:
+    # those two are not finite, every other element equals the scalar call.
+    a = np.array([0.3 + 1j, 0.3 + 1j, 0.3 + 1j, 4e4, 0.3 + 1j])
+    b = np.array([0.7 - 1j, 0.7 - 1j, 0.7 - 1j, 4e4, 0.7 - 1j])
+    c = np.array([2.0 + 0.5j, 2.0 + 0.5j, 1.0, 1.0 + 1j, 2.0 + 0.5j])
+    z = np.array([0.2, 0.5, 0.7, 0.45, 0.9])
+    out = _hyp2f1_core(a, b, c, z, np.log1p(-z))
+    assert not np.isfinite(out[2]) and not np.isfinite(out[3])
+    for i in (0, 1, 4):
+        assert out[i] == pytest.approx(hyp2f1(a[i], b[i], c[i], z[i]), rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # legendre_P
 # ---------------------------------------------------------------------------
@@ -243,6 +258,14 @@ def test_legendre_tanh_deep_tail_plane_wave():
         val = legendre_P_tanh(0.0, mu, alpha)
         ref = cmath.exp(mu * alpha) / cmath.exp(complex(scipy.special.loggamma(1 - mu)))
         assert abs(val - ref) <= 1e-12 * abs(ref)
+
+
+def test_legendre_strong_barrier_is_an_error_not_nan():
+    # v8 = 1e6, kappa = 1 (Im nu ~ 500): the z -> 1-z prefactors overflow
+    # and meet a zero; the value must be refused, not returned as NaN.
+    nu = complex(reduce(PhysicalParams(1, 1, 1, 125000.0), 1.0).nu)
+    with pytest.raises(ConvergenceError):
+        legendre_P_tanh(nu, 1j, -3.0)
 
 
 def test_legendre_rejects_bad_inputs():
