@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, IllConditionedFitError, NumericalError, unwrap
 from .params import BarrierIndex, PhysicalParams
-from .special import _exp_lg_sum, _half_tanh, _hyp2f1_core, _legendre_core, log_gamma
+from .special import _exp_lg_sum, _half_tanh, _hyp2f1_core, _legendre_core, _log_sin_pi, log_gamma
 
 __all__ = [
     "Amplitudes",
@@ -174,17 +174,26 @@ def s_function(idx: BarrierIndex) -> complex:
 
 
 def connection_coefficients(idx: BarrierIndex) -> ConnectionCoefficients:
-    """Coefficients a, b of the plane-wave-basis change for P_nu^{+-mu}."""
+    """Coefficients a, b of the plane-wave-basis change for P_nu^{+-mu}:
+
+        a = G(1+nu-mu)/G(1+nu+mu) * sin(pi nu)/sin(pi(nu+mu)),
+        b = G(1+nu-mu)/G(1+nu+mu) * sin(pi mu)/sin(pi(nu+mu)).
+
+    Both are formed in log space, log-sines included, so they are finite
+    wherever they are representable, strong barriers (Im nu ~ 500 at
+    v8 = 1e6) included.  NumericalError where sin(pi(nu+mu)) vanishes or a
+    coefficient overflows float64."""
     _require_positive_kappa(idx.kappa, "connection_coefficients")
     nu, mu = complex(idx.nu), complex(idx.mu)
-    denom = cmath.sin(math.pi * (nu + mu))
-    if abs(denom) < 1e-300:
+    log_sin = _log_sin_pi([nu, mu, nu + mu])
+    if log_sin[2].real < math.log(1e-300):
         raise NumericalError(
             f"sin(pi*(nu+mu)) ~ 0 at (nu={nu}, mu={mu}); coefficients degenerate"
         )
-    ratio = cmath.exp(complex(log_gamma(nu - mu + 1.0)) - complex(log_gamma(nu + mu + 1.0)))
-    a = ratio * cmath.sin(math.pi * nu) / denom
-    b = ratio * cmath.sin(math.pi * mu) / denom
+    with np.errstate(over="ignore"):
+        a, b = _exp_lg_sum((nu - mu + 1.0,), (nu + mu + 1.0,), log_sin[:2] - log_sin[2]).tolist()
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise NumericalError(f"connection coefficients overflow float64 at (nu={nu}, mu={mu})")
     return ConnectionCoefficients(a=a, b=b)
 
 

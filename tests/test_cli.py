@@ -319,11 +319,17 @@ def test_json_output_schema(tmp_path):
     assert doc["rows"][0]["t2"] == pytest.approx(0.9549222767550369)
 
 
-def test_cli_subprocess_smoke(tmp_path):
-    root = Path(__file__).resolve().parents[1]
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _child_env() -> dict:
     # The child imports the checkout's src/, as pytest's pythonpath does here.
-    paths = (str(root / "src"), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    paths = (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def test_cli_subprocess_smoke(tmp_path):
+    root, env = ROOT, _child_env()
     out = tmp_path / "sweep.csv"
     cmd = [
         sys.executable, "-m", "coshbar", "scatter",
@@ -337,3 +343,31 @@ def test_cli_subprocess_smoke(tmp_path):
     proc = subprocess.run(cmd, check=True, cwd=root, env=env, capture_output=True, text=True)
     report = json.loads(proc.stdout)
     assert all(case["pass"] for case in report[0]["cases"])
+
+
+_MAIN_WITHOUT_SCIPY_SPECIAL = """
+import sys
+from coshbar.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(name for name in sys.modules if name.startswith("scipy.special"))
+assert not loaded, f"command imported {loaded}"
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scatter", "--v0", "0.25", "--k-range", "0.5:2:4"],
+        ["wavefunction", "--v0", "0.25", "--k", "1", "--x-range=-3:3:7"],
+        ["propagator", "--v0", "0.25", "--tau", "1", "--points=-0.5:0.5:2"],
+        ["verify"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_commands_do_not_import_scipy_special(args, tmp_path):
+    # Log-gamma is computed in numpy, so no command pays the cold import of
+    # scipy.special (about 60 ms per process); only scipy.linalg is loaded.
+    cmd = [sys.executable, "-c", _MAIN_WITHOUT_SCIPY_SPECIAL, *args, "--out", str(tmp_path / "out")]
+    proc = subprocess.run(cmd, cwd=ROOT, env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

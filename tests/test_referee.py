@@ -5,10 +5,11 @@ T and R are checked against the gamma ratios of the paper evaluated by
 mpmath at 40 digits, with nu formed from v8 at that precision, over the
 extreme strengths and wavenumbers the package supports; the wave functions
 against mpmath Legendre functions deep in the tails and at v8 = 1e6; 2F1
-and Legendre P at 30 digits across the z = 1/2 seam.  A hypothesis test
-holds the array wave-function path to its one-point case.  mpmath and
-hypothesis are test extras, not package dependencies, so the module skips
-without them.
+and Legendre P at 30 digits across the z = 1/2 seam.  Hypothesis tests
+hold the array wave-function path to its one-point case, |T|^2 + |R|^2 to
+1 and the propagator matrix to its swap symmetry.  mpmath and hypothesis
+are test extras, not package dependencies, so the module skips without
+them.
 """
 
 import math
@@ -25,6 +26,7 @@ from coshbar import (
     legendre_P_tanh,
     log_gamma,
     reduce,
+    spectral_kernel_matrix,
     wavefunction_samples,
     wavefunctions,
 )
@@ -238,3 +240,35 @@ def test_array_wavefunctions_match_one_point_calls(v8, kappa, x):
             assert abs(mine - ref) <= 1e-14 * (scale + abs(ref))
     assert samples[0].psi_left == samples[1].psi_right
     assert samples[0].psi_right == samples[1].psi_left
+
+
+# ---------------------------------------------------------------------------
+# properties: unitarity, swap symmetry
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(log_v8=st.floats(-6.0, 4.0), log_kappa=st.floats(-3.0, math.log10(120.0)))
+def test_flux_is_conserved(log_v8, log_kappa):
+    # |T|^2 + |R|^2 = 1 to the 1e-10 the Amplitudes docstring promises, for
+    # v8 in [1e-6, 1e4] and kappa in [1e-3, 120].
+    kappa = min(10.0**log_kappa, 120.0)
+    amp = amplitudes(reduce(PhysicalParams(m=1.0, hbar=1.0, omega=1.0, v0=10.0**log_v8 / 8.0), kappa))
+    assert abs(amp.t2 + amp.r2 - 1.0) <= 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    v8=st.floats(0.0, 4.0),
+    tau=st.floats(0.3, 2.0),
+    xfs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+    xis=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+)
+def test_spectral_kernel_matrix_is_swap_symmetric(v8, tau, xfs, xis):
+    # K(xf, xi) = K(xi, xf) bit for bit, between a matrix and the matrix
+    # over the swapped grids.
+    p = PhysicalParams(m=1.0, hbar=1.0, omega=1.0, v0=v8 / 8.0)
+    forward = spectral_kernel_matrix(p, xfs, xis, tau)
+    backward = spectral_kernel_matrix(p, xis, xfs, tau)
+    for i in range(len(xfs)):
+        for j in range(len(xis)):
+            assert forward[i][j].value == backward[j][i].value

@@ -142,6 +142,22 @@ def test_connection_free_point():
     assert abs(cc.b - expected_b) < 1e-13
 
 
+@pytest.mark.parametrize("v8, kappa", [(1e6, 1.0), (1e4, 2.0), (0.5, 9.0)])
+def test_connection_coefficients_match_mpmath_past_sine_overflow(v8, kappa):
+    # At v8 = 1e6 (Im nu ~ 500) sin(pi nu) and sin(pi(nu+mu)) overflow
+    # float64; a stays of order one and b ~ 1e-681 underflows to 0.  The
+    # log-gammas there are of size 3000, so 1e-12 is a few units of their
+    # rounding.  kappa = 9 takes the overflow-free log-sine at a weak barrier.
+    mpmath = pytest.importorskip("mpmath")
+    _, idx = index_of(v8, kappa)
+    cc = connection_coefficients(idx)
+    with mpmath.workdps(30):
+        nu, mu = mpmath.mpc(idx.nu), mpmath.mpc(idx.mu)
+        ratio = mpmath.gamma(1 + nu - mu) / mpmath.gamma(1 + nu + mu) / mpmath.sin(mpmath.pi * (nu + mu))
+        a, b = (complex(ratio * mpmath.sin(mpmath.pi * w)) for w in (nu, mu))
+    assert abs(cc.a - a) + abs(cc.b - b) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # wave functions
 # ---------------------------------------------------------------------------

@@ -79,6 +79,55 @@ def test_log_gamma_accuracy_against_mpmath():
             assert abs(mine - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def _log_gamma_families(rng):
+    """Arguments that reach every branch of log_gamma: Stirling's series,
+    the shifted recurrence, the reflection formula, the poles and the cut."""
+    n = 400
+    sign = rng.choice([-1.0, 1.0], n)
+    poles = rng.choice([0.0, -1.0, -6.0], n)
+    return {
+        "recurrence box": rng.uniform(-7.0, 8.0, n) + 1j * rng.uniform(-7.0, 7.0, n),
+        "|Im z| to 600": rng.uniform(-50.0, 50.0, n) + 1j * sign * rng.uniform(7.0, 600.0, n),
+        "|z| to 1e6": 10.0 ** rng.uniform(0.0, 6.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n)),
+        "within 1e-9 of 0, -1, -6": poles + 1e-9 * np.exp(1j * rng.uniform(-np.pi, np.pi, n)),
+        "within 1e-12 of the cut": (-rng.uniform(0.0, 20.0, n)
+                                    + 1j * sign * 10.0 ** rng.uniform(-300.0, -12.0, n)),
+        # Without reflection these would need 1e3 and 1e6 shifts each.
+        "Re z = -1e3, -1e6": (rng.choice([-1e3, -1e6], n) + rng.uniform(-0.5, 0.5, n)
+                              + 1j * rng.uniform(-7.5, 7.5, n)),
+    }
+
+
+@pytest.mark.parametrize("family", list(_log_gamma_families(np.random.default_rng(0))))
+def test_log_gamma_referee_families(family):
+    # Each point within 1e-14 max(1, |ref|) of mpmath's loggamma at 30
+    # digits, and of scipy.special.loggamma, an independent float64
+    # implementation of the same branch.
+    mpmath = pytest.importorskip("mpmath")
+    zs = _log_gamma_families(np.random.default_rng(0))[family]
+    mine = log_gamma(zs)
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag))) for z in zs])
+    scale = np.maximum(1.0, np.abs(ref))
+    assert np.max(np.abs(mine - ref) / scale) <= 1e-14
+    assert np.max(np.abs(mine - scipy.special.loggamma(zs)) / scale) <= 1e-14
+
+
+def test_log_gamma_takes_the_side_of_the_cut_from_the_zero():
+    # On the negative real axis the sign of a zero Im z picks the branch,
+    # as in scipy.special.loggamma, and conjugation commutes exactly.
+    x = -np.random.default_rng(3).uniform(0.0, 20.0, 200)
+    x = x[x != np.round(x)]
+    for zero in (0.0, -0.0):
+        zs = x + 0j
+        zs.imag = zero
+        mine, ref = log_gamma(zs), scipy.special.loggamma(zs)
+        assert np.array_equal(np.signbit(mine.imag), np.signbit(ref.imag))
+        assert np.max(np.abs(mine - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14
+        for z in zs:
+            assert complex(log_gamma(z.conjugate())) == complex(log_gamma(z)).conjugate()
+
+
 def test_log_gamma_pole_rejection():
     for z in (0.0, -1.0, -2.0, -17.0):
         with pytest.raises(PoleError):
