@@ -5,7 +5,8 @@ Subcommands
 scatter       one row per wavenumber: T, R, S, flux fractions, unitarity residual
 wavefunction  wave-function samples on an x grid, for external plotting
 propagator    Euclidean spectral kernel vs the grid-Hamiltonian oracle
-verify        named invariant suites with a pass/fail JSON report
+verify        the suites of coshbar.verify (criteria and tolerances live there,
+              and the acceptance tests run the same code), as a JSON report
 
 Configuration comes from an optional JSON document (--config) overridden by
 flags; units default to hbar = m = 1 so users specify only (omega, v0, k).
@@ -22,39 +23,32 @@ Exit codes: 0 all residuals in contract, 1 residual/check failure,
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__
-from .errors import NumericalError, unwrap
+from . import __version__, verify
+from .errors import NumericalError
 from .oracle import SolverConfig, grid_propagator_matrix, numerov_amplitudes
 from .params import PhysicalParams, reduce
-from .propagator import free_kernel, spectral_kernel, spectral_kernel_matrix
+from .propagator import spectral_kernel_matrix
 from .scattering import (
     WaveSample,
     _amplitude_arrays,
     _check_closed_form,
     _require_positive_kappa,
-    _s_closed_form,
     amplitudes,
     asymptotic_extract,
-    connection_coefficients,
-    s_function,
     wavefunction_samples,
 )
-from .special import hyp2f1, legendre_P
 
 __all__ = ["RunConfig", "cmd_scatter", "cmd_wavefunction", "cmd_propagator", "cmd_verify", "main"]
 
-V8_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 20.0)
-KAPPA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 RESIDUAL_GATE = 1e-8
-SUITES = ("unitarity", "identities", "symmetry", "free-limit", "delta-limit", "oracle", "propagator")
 
 
 @dataclass(frozen=True)
@@ -79,70 +73,77 @@ class RunConfig:
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
         for name in self.checks:
-            if name not in SUITES:
-                raise ValueError(f"unknown verification suite {name!r}; known: {SUITES}")
+            if name not in verify.SUITES:
+                known = ", ".join(verify.SUITES)
+                raise ValueError(f"unknown verification suite {name!r}; known: {known}")
 
     @property
     def params(self) -> PhysicalParams:
         return PhysicalParams(m=self.m, hbar=self.hbar, omega=self.omega, v0=self.v0)
 
 
+def _linspace(value) -> tuple[float, ...]:
+    """[a, b, n] -> n >= 1 points from a to b inclusive."""
+    a, b, n = value
+    if int(n) < 1:
+        raise ValueError(f"range count must be >= 1, got {n}")
+    return tuple(np.linspace(float(a), float(b), int(n)))
+
+
 def _parse_range(text: str) -> tuple[float, ...]:
     """'a:b:n' -> n points from a to b inclusive."""
     try:
-        a_s, b_s, n_s = text.split(":")
-        a, b, n = float(a_s), float(b_s), int(n_s)
+        return _linspace(text.split(":"))
     except ValueError as exc:
-        raise ValueError(f"range must look like 'a:b:n', got {text!r}") from exc
-    if n < 1:
-        raise ValueError(f"range count must be >= 1, got {n}")
-    return tuple(np.linspace(a, b, n))
+        raise ValueError(f"range must look like 'a:b:n' with n >= 1, got {text!r}") from exc
+
+
+def _floats(value) -> tuple[float, ...]:
+    return tuple(float(v) for v in value)
+
+
+# The document's shape, section -> key -> conversion: the None section is the
+# document itself and the "oracle" section fills the SolverConfig.
+_CONFIG_FIELDS = {
+    "units": {"hbar": float, "m": float},
+    "barrier": {"omega": float, "v0": float},
+    "sweep": {"k_range": _linspace, "k_values": _floats},
+    "wavefunction": {"x_range": _linspace, "x_values": _floats},
+    "propagator": {"tau": float, "points": _floats},
+    "outputs": {"format": str, "path": str},
+    None: {"use_oracle": bool, "checks": tuple},
+    "oracle": {
+        "box_half_width": float, "step": float, "grid_points": operator.index,
+        "match_tolerance": float, "boundary_ratio_max": float,
+    },
+}
+# Keys stored under another field name; of two keys for one field the later wins.
+_RENAMED = {"k_range": "k_values", "x_range": "x_values", "format": "fmt", "path": "out"}
 
 
 def load_config(path: str) -> RunConfig:
-    """Read the JSON config document; all fields optional."""
+    """Read the JSON config document.  Every field is optional and an
+    absent one keeps its RunConfig default; a present one (null included)
+    of the wrong shape or type raises ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config document must be a JSON object")
-    units = doc.get("units", {})
-    barrier = doc.get("barrier", {})
-    sweep = doc.get("sweep", {})
-    outputs = doc.get("outputs", {})
-    wf = doc.get("wavefunction", {})
-    prop = doc.get("propagator", {})
-    k_values: tuple[float, ...] = ()
-    if "k_values" in sweep:
-        k_values = tuple(float(k) for k in sweep["k_values"])
-    elif "k_range" in sweep:
-        a, b, n = sweep["k_range"]
-        k_values = tuple(np.linspace(float(a), float(b), int(n)))
-    x_values: tuple[float, ...] = ()
-    if "x_values" in wf:
-        x_values = tuple(float(x) for x in wf["x_values"])
-    elif "x_range" in wf:
-        a, b, n = wf["x_range"]
-        x_values = tuple(np.linspace(float(a), float(b), int(n)))
-    oracle_kwargs = {
-        key: doc["oracle"][key]
-        for key in ("box_half_width", "step", "grid_points", "match_tolerance", "boundary_ratio_max")
-        if key in doc.get("oracle", {})
-    }
-    return RunConfig(
-        hbar=float(units.get("hbar", 1.0)),
-        m=float(units.get("m", 1.0)),
-        omega=float(barrier.get("omega", 1.0)),
-        v0=float(barrier.get("v0", 0.0)),
-        k_values=k_values,
-        x_values=x_values,
-        tau=float(prop.get("tau", 1.0)),
-        points=tuple(float(x) for x in prop.get("points", (-0.5, 0.0, 0.5))),
-        use_oracle=bool(doc.get("use_oracle", False)),
-        fmt=str(outputs.get("format", "csv")),
-        out=outputs.get("path"),
-        checks=tuple(doc.get("checks", ())),
-        oracle=SolverConfig(**oracle_kwargs),
-    )
+    updates: dict = {}
+    oracle: dict = {}
+    for section, keys in _CONFIG_FIELDS.items():
+        fields = doc.get(section, {}) if section else doc
+        if not isinstance(fields, dict):
+            raise ValueError(f"config field {section!r} must be a JSON object, got {fields!r}")
+        target = oracle if section == "oracle" else updates
+        for key, convert in keys.items():
+            if key in fields:
+                try:
+                    target[_RENAMED.get(key, key)] = convert(fields[key])
+                except (TypeError, ValueError) as exc:
+                    where = f"{section}.{key}" if section else key
+                    raise ValueError(f"config field {where!r}: {exc}") from exc
+    return replace(RunConfig(), **updates, oracle=SolverConfig(**oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -330,181 +331,11 @@ def cmd_propagator(cfg: RunConfig) -> tuple[tuple[str, ...], list[dict], int]:
 # verify
 # ---------------------------------------------------------------------------
 
-def _case(name: str, residual: float, tolerance: float) -> dict:
-    return {
-        "name": name,
-        "residual": float(residual),
-        "tolerance": float(tolerance),
-        "pass": bool(residual <= tolerance),
-    }
-
-
-def _grid_indices(cfg: RunConfig):
-    for v8 in V8_GRID:
-        for kappa in KAPPA_GRID:
-            p = PhysicalParams(
-                m=cfg.m, hbar=cfg.hbar, omega=cfg.omega,
-                v0=v8 * (cfg.hbar * cfg.omega) ** 2 / (8.0 * cfg.m),
-            )
-            yield v8, kappa, p, reduce(p, kappa * cfg.omega)
-
-
-def suite_unitarity(cfg: RunConfig) -> list[dict]:
-    cases = []
-    for v8, kappa, _p, idx in _grid_indices(cfg):
-        amp = amplitudes(idx)
-        s = s_function(idx)
-        closed = complex(_s_closed_form(idx.nu, np.array([idx.kappa]))[0])
-        tag = f"[v8={v8:g},kappa={kappa:g}]"
-        cases.append(_case(f"flux{tag}", abs(amp.t2 + amp.r2 - 1.0), 1e-10))
-        cases.append(_case(f"unitary-s{tag}", abs(abs(s) - 1.0), 1e-10))
-        cases.append(_case(f"closed-form-s{tag}", abs((amp.t + amp.r) - closed), 1e-10))
-    return cases
-
-
-def suite_identities(cfg: RunConfig) -> list[dict]:
-    cases = []
-    for v8, kappa, _p, idx in _grid_indices(cfg):
-        cc = connection_coefficients(idx)
-        tag = f"[v8={v8:g},kappa={kappa:g}]"
-        cases.append(_case(f"norm{tag}", abs(abs(cc.a) ** 2 + abs(cc.b) ** 2 - 1.0), 1e-10))
-        cases.append(
-            _case(f"orthogonality{tag}", abs(cc.a * cc.b.conjugate() + cc.a.conjugate() * cc.b), 1e-10)
-        )
-    return cases
-
-
-def suite_symmetry(_cfg: RunConfig) -> list[dict]:
-    rng = np.random.default_rng(20250810)
-    worst_legendre = 0.0
-    for _ in range(50):
-        lam = rng.uniform(0.05, 2.5)
-        mu = complex(rng.uniform(-0.8, 0.8), rng.uniform(-1.5, 1.5))
-        x = rng.uniform(-0.9, 0.9)
-        lhs = legendre_P(-0.5 - 1j * lam, mu, x)
-        rhs = legendre_P(-0.5 + 1j * lam, mu, x)
-        worst_legendre = max(worst_legendre, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    worst_transform = 0.0
-    for _ in range(50):
-        a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        b = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        c = complex(rng.uniform(0.5, 3.0), rng.uniform(-2, 2))
-        z = rng.uniform(0.02, 0.45)
-        lhs = hyp2f1(a, b, c, z)
-        rhs = (1.0 - z) ** complex(c - a - b) * hyp2f1(c - a, c - b, c, z)
-        worst_transform = max(worst_transform, abs(lhs - rhs) / max(abs(lhs), 1e-30))
-    return [
-        _case("legendre-degree-reflection[50 draws]", worst_legendre, 1e-10),
-        _case("hyp2f1-euler-transform[50 draws]", worst_transform, 1e-9),
-    ]
-
-
-def suite_free_limit(cfg: RunConfig) -> list[dict]:
-    p_free = PhysicalParams(m=cfg.m, hbar=cfg.hbar, omega=cfg.omega, v0=0.0)
-    amp = amplitudes(reduce(p_free, cfg.omega))
-    cases = [
-        _case("free-t-exact", abs(amp.t - 1.0), 0.0),
-        _case("free-r-exact", abs(amp.r), 0.0),
-    ]
-    p_tiny = PhysicalParams(m=cfg.m, hbar=cfg.hbar, omega=cfg.omega, v0=1e-12)
-    amp2 = amplitudes(reduce(p_tiny, cfg.omega))
-    cases.append(_case("near-free-t[v0=1e-12]", abs(amp2.t - 1.0), 1e-6))
-    return cases
-
-
-def suite_delta_limit(_cfg: RunConfig) -> list[dict]:
-    # hbar = 2m = 1 scaling, g = 2, k = 1: the narrow-barrier family
-    # V0 = (hbar^2/4m) g omega collapses onto (hbar^2/2m) g delta(x).
-    g, k = 2.0, 1.0
-    t_delta = 2.0 * k / (2.0 * k + 1j * g)
-    omegas = (1e2, 1e3, 1e4)
-    devs = []
-    cases = []
-    for om in omegas:
-        p = PhysicalParams(m=0.5, hbar=1.0, omega=om, v0=1.0**2 * g * om / (4.0 * 0.5))
-        amp = amplitudes(reduce(p, k))
-        dev = abs(amp.t - t_delta)
-        devs.append(dev)
-        cases.append(_case(f"delta-t[omega={om:g}]", dev, 1e-3 * (1e4 / om)))
-    slope = np.polyfit(np.log(omegas), np.log(devs), 1)[0]
-    cases.append(_case("delta-convergence-slope[+1 offset]", abs(slope + 1.0), 0.1))
-    return cases
-
-
-def _oracle_cfg_for(cfg: RunConfig, k: float) -> SolverConfig:
-    if (
-        cfg.oracle.box_half_width is not None
-        or cfg.oracle.step is not None
-        or cfg.oracle.grid_points is not None
-    ):
-        return cfg.oracle
-    # Tight enough that even |R| ~ 1e-8 rows compare at 1e-6 relative.
-    return replace(
-        cfg.oracle,
-        box_half_width=max(16.0 / cfg.omega, 10.0 / k),
-        step=min(2.0 * math.pi / (40.0 * k), 1.0 / (40.0 * cfg.omega), 0.012 / k),
-    )
-
-
-def suite_oracle(cfg: RunConfig) -> list[dict]:
-    cases = []
-    for v8, kappa, p, idx in _grid_indices(cfg):
-        k = kappa * cfg.omega
-        amp = amplitudes(idx)
-        o = numerov_amplitudes(p, k, _oracle_cfg_for(cfg, k))
-        residual = max(
-            abs(abs(o.t) - abs(amp.t)) / abs(amp.t),
-            abs(cmath.phase(o.t / amp.t)),
-            abs(abs(o.r) - abs(amp.r)) / abs(amp.r),
-            abs(cmath.phase(o.r / amp.r)),
-        )
-        cases.append(_case(f"numerov[v8={v8:g},kappa={kappa:g}]", residual, 1e-6))
-    return cases
-
-
-def suite_propagator(cfg: RunConfig) -> list[dict]:
-    cases = []
-    p_free = PhysicalParams(m=cfg.m, hbar=cfg.hbar, omega=cfg.omega, v0=0.0)
-    kv = spectral_kernel(p_free, 0.3, -0.2, 1.0)
-    exact = free_kernel(p_free, 0.3, -0.2, 1.0)
-    cases.append(_case("free-kernel[tau=1]", abs(kv.value - exact) / exact, 1e-6))
-
-    p2 = PhysicalParams(m=cfg.m, hbar=cfg.hbar, omega=cfg.omega,
-                        v0=2.0 * (cfg.hbar * cfg.omega) ** 2 / (8.0 * cfg.m))
-    ka = spectral_kernel(p2, 0.5, -0.2, 0.7)
-    kb = spectral_kernel(p2, -0.2, 0.5, 0.7)
-    cases.append(_case("swap-symmetry[v8=2]", abs(ka.value - kb.value) / ka.value, 1e-12))
-
-    L = 6.0 / cfg.omega
-    N = cfg.oracle.grid_points or 1200
-    points = [x / cfg.omega for x in (-0.5, 0.0, 0.5)]
-    spectral = spectral_kernel_matrix(p2, points, points, 1.0)
-    oracle = grid_propagator_matrix(p2, L, N, 1.0, points, points)
-    for a, xf in enumerate((-0.5, 0.0, 0.5)):
-        for b, xi in enumerate((-0.5, 0.0, 0.5)):
-            kv, ko = unwrap(spectral[a][b]), unwrap(oracle[a][b])
-            cases.append(
-                _case(f"grid-oracle[v8=2,xf={xf:g},xi={xi:g}]", abs(kv.value - ko) / ko, 1e-3)
-            )
-    return cases
-
-
-_SUITE_RUNNERS = {
-    "unitarity": suite_unitarity,
-    "identities": suite_identities,
-    "symmetry": suite_symmetry,
-    "free-limit": suite_free_limit,
-    "delta-limit": suite_delta_limit,
-    "oracle": suite_oracle,
-    "propagator": suite_propagator,
-}
-
-
 def cmd_verify(cfg: RunConfig) -> tuple[list[dict], int]:
-    """Run the selected (default: all) verification suites; exit 0 iff
-    every case passes."""
-    names = cfg.checks or SUITES
-    report = [{"suite": name, "cases": _SUITE_RUNNERS[name](cfg)} for name in names]
+    """Run the selected (default: all) suites of coshbar.verify at cfg's
+    units and omega; exit 0 iff every case passes."""
+    base = PhysicalParams(m=cfg.m, hbar=cfg.hbar, omega=cfg.omega, v0=0.0)
+    report = verify.run(cfg.checks or verify.SUITES, base, cfg.oracle)
     ok = all(case["pass"] for suite in report for case in suite["cases"])
     return report, 0 if ok else 1
 
@@ -577,63 +408,43 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    updates: dict = {}
-    if args.omega is not None:
-        updates["omega"] = args.omega
-    if args.v0 is not None:
-        updates["v0"] = args.v0
-    if args.k:
-        updates["k_values"] = tuple(args.k)
-    if args.k_range:
-        updates["k_values"] = _parse_range(args.k_range)
-    if args.oracle:
-        updates["use_oracle"] = True
-    if args.format:
-        updates["fmt"] = args.format
-    if args.out:
-        updates["out"] = args.out
-    if args.suite:
-        updates["checks"] = tuple(args.suite)
-    if args.x_range:
-        updates["x_values"] = _parse_range(args.x_range)
-    if args.tau is not None:
-        updates["tau"] = args.tau
-    if args.points:
-        if ":" in args.points:
-            updates["points"] = _parse_range(args.points)
-        else:
-            updates["points"] = tuple(float(v) for v in args.points.split(","))
-    return replace(cfg, **updates)
+    points = args.points and (
+        _parse_range(args.points) if ":" in args.points else _floats(args.points.split(","))
+    )
+    flags = {
+        "omega": args.omega,
+        "v0": args.v0,
+        "k_values": _parse_range(args.k_range) if args.k_range else args.k and tuple(args.k),
+        "use_oracle": args.oracle or None,
+        "fmt": args.format,
+        "out": args.out or None,
+        "checks": args.suite and tuple(args.suite),
+        "x_values": _parse_range(args.x_range) if args.x_range else None,
+        "tau": args.tau,
+        "points": points or None,
+    }
+    return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"coshbar: config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        if args.command == "verify":
+            report, code = cmd_verify(cfg)
+            _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", cfg.out)
+            return code
+        footer = None
         if args.command == "scatter":
             columns, rows, code = cmd_scatter(cfg)
-            render = _render_csv if cfg.fmt == "csv" else _render_json
-            _emit(render(columns, rows), cfg.out)
-            return code
-        if args.command == "wavefunction":
-            columns, rows, asymptotics, code = cmd_wavefunction(cfg)
-            render = _render_csv if cfg.fmt == "csv" else _render_json
-            _emit(render(columns, rows, asymptotics), cfg.out)
-            return code
-        if args.command == "propagator":
+        elif args.command == "wavefunction":
+            columns, rows, footer, code = cmd_wavefunction(cfg)
+        else:
             columns, rows, code = cmd_propagator(cfg)
-            render = _render_csv if cfg.fmt == "csv" else _render_json
-            _emit(render(columns, rows), cfg.out)
-            return code
-        report, code = cmd_verify(cfg)
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", cfg.out)
+        render = _render_csv if cfg.fmt == "csv" else _render_json
+        _emit(render(columns, rows, footer), cfg.out)
         return code
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"coshbar: config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

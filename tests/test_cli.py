@@ -284,6 +284,25 @@ def test_config_file_explicit_lists(tmp_path):
     assert cfg.checks == ("unitarity",)
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"units": [1]}, "units"),
+        ({"barrier": {"v0": None}}, "barrier.v0"),
+        ({"sweep": {"k_values": 3}}, "sweep.k_values"),
+        ({"oracle": {"step": "x"}}, "oracle.step"),
+    ],
+)
+def test_malformed_config_field_is_a_config_error(doc, field, tmp_path, capsys):
+    # Exit 1 is kept for residual failures: a field of the wrong shape or
+    # type exits 2 with a message naming it, never a traceback.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert main(["scatter", "--k", "1", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coshbar: config error") and f"config field {field!r}" in err
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         RunConfig(checks=("nonsense",))
@@ -298,6 +317,9 @@ def test_main_exit_codes(tmp_path, capsys):
     # empty sweep -> config error
     assert main(["scatter"]) == 2
     capsys.readouterr()
+    # unwritable output path -> config error, not a traceback
+    assert main(["scatter", "--k", "1", "--out", str(tmp_path / "missing" / "rows.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_output_files_are_byte_identical(tmp_path):

@@ -13,7 +13,6 @@ from coshbar import (
     numerov_once,
     reduce,
 )
-from coshbar.cli import RunConfig, _oracle_cfg_for
 from coshbar.oracle import (
     SolverConfig,
     _eigensystem,
@@ -25,6 +24,7 @@ from coshbar.oracle import (
     _window_indices,
     grid_propagator_matrix,
 )
+from coshbar.verify import _oracle_cfg_for
 
 
 def params_for(v8, omega=1.0, m=1.0, hbar=1.0):
@@ -147,7 +147,7 @@ def _sequential_march(p, k, L, n):
 def _verify_grid(v8, kappa):
     """The coarse grid and match window of the verify oracle suite."""
     p = params_for(v8)
-    L, h = _prepare(p, kappa, _oracle_cfg_for(RunConfig(), kappa))
+    L, h = _prepare(p, kappa, _oracle_cfg_for(SolverConfig(), 1.0, kappa))
     n = _even_steps(L, h)
     return p, L, n, _window_indices(kappa, 2.0 * L / n, L, n)
 

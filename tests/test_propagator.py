@@ -26,10 +26,11 @@ def test_free_case_matches_closed_form():
 
 
 def test_swap_symmetry():
-    p = params_for(2.0)
-    a = spectral_kernel(p, 0.5, -0.2, 0.7)
-    b = spectral_kernel(p, -0.2, 0.5, 0.7)
-    assert abs(a.value - b.value) <= 1e-12 * a.value
+    # Away from the propagator verify suite's (0.5, -0.2; 0.7) at v8 = 2.
+    for v8, xf, xi, tau in ((0.5, 1.0, -0.3, 0.4), (5.0, 0.2, 1.5, 2.0)):
+        a = spectral_kernel(params_for(v8), xf, xi, tau)
+        b = spectral_kernel(params_for(v8), xi, xf, tau)
+        assert abs(a.value - b.value) <= 1e-12 * a.value
 
 
 def test_matches_grid_oracle_reference_point():

@@ -17,9 +17,9 @@ from coshbar import (
     wavefunctions,
 )
 from coshbar.oracle import SolverConfig
-
-V8_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 20.0)
-KAPPA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
+from coshbar.scattering import _s_closed_form
+from coshbar.special import log_gamma
+from coshbar.verify import KAPPA_GRID, SUITES, V8_GRID
 
 
 def index_of(v8, kappa, omega=1.0, m=1.0, hbar=1.0):
@@ -40,13 +40,21 @@ def test_free_particle_is_transparent():
 
 
 def test_flux_conservation_and_unitarity_on_grid():
-    for v8 in V8_GRID:
-        for kappa in KAPPA_GRID:
-            _, idx = index_of(v8, kappa)
-            amp = amplitudes(idx)
-            assert abs(amp.t2 + amp.r2 - 1.0) < 1e-10
-            assert abs(abs(amp.s) - 1.0) < 1e-10
-            assert abs(abs(s_function(idx)) - 1.0) < 1e-10
+    # The unitarity suite makes one array call per v8; each of its residuals
+    # must be the one the scalar amplitudes/s_function path gives, bit for
+    # bit, at omega = 1 and off it.
+    for omega in (1.0, 0.8123):
+        base = PhysicalParams(m=1.0, hbar=1.0, omega=omega, v0=0.0)
+        cases = iter(SUITES["unitarity"](base, SolverConfig()))
+        for v8 in V8_GRID:
+            for kappa in KAPPA_GRID:
+                _, idx = index_of(v8, kappa, omega=omega)
+                amp, s = amplitudes(idx), s_function(idx)
+                closed = complex(_s_closed_form(idx.nu, np.array([idx.kappa]))[0])
+                for residual in (abs(amp.t2 + amp.r2 - 1.0), abs(abs(s) - 1.0), abs(amp.s - closed)):
+                    assert next(cases)["residual"] == residual
+                    assert residual < 1e-10
+        assert next(cases, None) is None
 
 
 def test_branch_swap_invariance():
@@ -69,7 +77,8 @@ def test_monotone_transparency_in_kappa():
 
 def test_delta_barrier_limit_of_amplitudes():
     # hbar = 2m = 1 scaling: V0 = omega collapses onto the contact barrier
-    # with g = 2; T -> 2k/(2k+ig) like 1/omega.
+    # with g = 2.  The T deviation's 1/omega slope and its bound at 1e4 are
+    # the delta-limit verify suite; here R converges too and T monotonically.
     g, k = 2.0, 1.0
     t_delta = 2 * k / (2 * k + 1j * g)
     r_delta = -1j * g / (2 * k + 1j * g)
@@ -80,9 +89,6 @@ def test_delta_barrier_limit_of_amplitudes():
         devs.append(abs(amp.t - t_delta))
         assert abs(amp.r - r_delta) < 3.0 / om
     assert devs[0] > devs[1] > devs[2]
-    assert devs[2] < 1e-3
-    slope = np.polyfit(np.log([1e2, 1e3, 1e4]), np.log(devs), 1)[0]
-    assert abs(slope + 1.0) < 0.1
 
 
 def test_amplitudes_match_numerov_oracle_at_reference_point():
@@ -94,18 +100,18 @@ def test_amplitudes_match_numerov_oracle_at_reference_point():
 
 
 def test_closed_form_scattering_function_matches_sum():
-    # Gamma/cosine closed form against T + R, evaluated independently here.
-    for v8, kappa in ((0.5, 0.3), (2.0, 1.0), (20.0, 5.0)):
-        _, idx = index_of(v8, kappa)
-        amp = amplitudes(idx)
-        nu, ik = complex(idx.nu), 1j * kappa
-        from coshbar.special import log_gamma
-
-        closed = cmath.exp(
-            complex(log_gamma(ik)) + complex(log_gamma(-nu - ik))
-            - complex(log_gamma(-ik)) - complex(log_gamma(-nu + ik))
-        ) * cmath.cos(0.5 * math.pi * (nu + ik)) / cmath.cos(0.5 * math.pi * (nu - ik))
-        assert abs((amp.t + amp.r) - closed) < 1e-10
+    # Gamma/cosine closed form against T + R, evaluated independently here
+    # in scalar cmath over the verify grid.
+    for v8 in V8_GRID:
+        for kappa in KAPPA_GRID:
+            _, idx = index_of(v8, kappa)
+            amp = amplitudes(idx)
+            nu, ik = complex(idx.nu), 1j * kappa
+            closed = cmath.exp(
+                complex(log_gamma(ik)) + complex(log_gamma(-nu - ik))
+                - complex(log_gamma(-ik)) - complex(log_gamma(-nu + ik))
+            ) * cmath.cos(0.5 * math.pi * (nu + ik)) / cmath.cos(0.5 * math.pi * (nu - ik))
+            assert abs((amp.t + amp.r) - closed) < 1e-10
 
 
 def test_amplitudes_reject_zero_kappa():
@@ -121,8 +127,8 @@ def test_amplitudes_reject_zero_kappa():
 # ---------------------------------------------------------------------------
 
 def test_connection_identities_on_grid():
-    points = [(v8, kappa) for v8 in V8_GRID for kappa in KAPPA_GRID] + [(0.5, 0.7)]
-    for v8, kappa in points:
+    # Off the verify grid, which the identities suite covers.
+    for v8, kappa in ((0.5, 0.7), (0.03, 0.2), (3.0, 0.3), (50.0, 2.5), (1e3, 1.0), (8.0, 12.0)):
         _, idx = index_of(v8, kappa)
         cc = connection_coefficients(idx)
         assert abs(abs(cc.a) ** 2 + abs(cc.b) ** 2 - 1.0) < 1e-10
@@ -134,8 +140,6 @@ def test_connection_free_point():
     _, idx = index_of(0.0, 0.9)
     cc = connection_coefficients(idx)
     assert cc.a == 0
-    from coshbar.special import log_gamma
-
     expected_b = cmath.exp(
         complex(log_gamma(1 - idx.mu)) - complex(log_gamma(1 + idx.mu))
     )
