@@ -2,9 +2,12 @@
 pass/fail line per case.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 The criteria and tolerances live in coshbar.verify; each test here runs
-one of its suites, as `coshbar verify --suite NAME` does, and adds only the
-wave-function asymptotics, which no suite has."""
+one of its suites, as `coshbar verify --suite NAME` does, and adds the
+wave-function asymptotics and a scalar cmath evaluation of the closed-form
+S, which no suite has."""
 
+import cmath
+import math
 import time
 
 import numpy as np
@@ -19,6 +22,7 @@ from coshbar import (
     verify,
     wavefunctions,
 )
+from coshbar.special import log_gamma
 
 
 def index_of(v8, kappa):
@@ -64,3 +68,21 @@ def test_criterion_7_wavefunction_asymptotics():
         worst_s = max(worst_s, abs((fit_left.t + fit_left.r) - (fit.t + fit.r)))
     report("criterion-7a asymptotic extraction of T, R", worst_amp, 1e-6)
     report("criterion-7b left-moving analysis same S", worst_s, 1e-8)
+
+
+def test_criterion_9_closed_form_consistency():
+    worst = 0.0
+    for v8 in verify.V8_GRID:
+        for kappa in verify.KAPPA_GRID:
+            _, idx = index_of(v8, kappa)
+            amp = amplitudes(idx)
+            nu, ik = complex(idx.nu), 1j * kappa
+            if idx.v8 == 0:
+                closed = 1.0 + 0j
+            else:
+                closed = cmath.exp(
+                    complex(log_gamma(ik)) + complex(log_gamma(-nu - ik))
+                    - complex(log_gamma(-ik)) - complex(log_gamma(-nu + ik))
+                ) * cmath.cos(0.5 * math.pi * (nu + ik)) / cmath.cos(0.5 * math.pi * (nu - ik))
+            worst = max(worst, abs((amp.t + amp.r) - closed))
+    report("criterion-9 gamma-ratio sum vs closed-form S", worst, 1e-10)

@@ -100,18 +100,17 @@ def test_amplitudes_match_numerov_oracle_at_reference_point():
 
 
 def test_closed_form_scattering_function_matches_sum():
-    # Gamma/cosine closed form against T + R, evaluated independently here
-    # in scalar cmath over the verify grid.
-    for v8 in V8_GRID:
-        for kappa in KAPPA_GRID:
-            _, idx = index_of(v8, kappa)
-            amp = amplitudes(idx)
-            nu, ik = complex(idx.nu), 1j * kappa
-            closed = cmath.exp(
-                complex(log_gamma(ik)) + complex(log_gamma(-nu - ik))
-                - complex(log_gamma(-ik)) - complex(log_gamma(-nu + ik))
-            ) * cmath.cos(0.5 * math.pi * (nu + ik)) / cmath.cos(0.5 * math.pi * (nu - ik))
-            assert abs((amp.t + amp.r) - closed) < 1e-10
+    # Gamma/cosine closed form against T + R, evaluated independently here;
+    # the acceptance suite runs the same check over the verify grid.
+    for v8, kappa in ((0.5, 0.3), (2.0, 1.0), (20.0, 5.0)):
+        _, idx = index_of(v8, kappa)
+        amp = amplitudes(idx)
+        nu, ik = complex(idx.nu), 1j * kappa
+        closed = cmath.exp(
+            complex(log_gamma(ik)) + complex(log_gamma(-nu - ik))
+            - complex(log_gamma(-ik)) - complex(log_gamma(-nu + ik))
+        ) * cmath.cos(0.5 * math.pi * (nu + ik)) / cmath.cos(0.5 * math.pi * (nu - ik))
+        assert abs((amp.t + amp.r) - closed) < 1e-10
 
 
 def test_amplitudes_reject_zero_kappa():
