@@ -10,6 +10,8 @@ verify        the suites of coshbar.verify (criteria and tolerances live there,
 
 Configuration comes from an optional JSON document (--config) overridden by
 flags; units default to hbar = m = 1 so users specify only (omega, v0, k).
+Each subcommand takes only the flags it reads (_COMMANDS, _FLAGS); verify
+reads only the units, omega and suite names; its oracles run at fixed settings.
 CSV output carries a fixed column order, 17 significant digits, '.' decimal
 separator and LF line endings, so identical configs give byte-identical
 files.  Rows are computed and written in input order; a scatter sweep is
@@ -25,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import __version__, verify
 from .errors import NumericalError
-from .oracle import SolverConfig, grid_propagator_matrix, numerov_amplitudes
+from .oracle import _GRID_START, SolverConfig, grid_propagator_matrix, numerov_amplitudes
 from .params import PhysicalParams, reduce
 from .propagator import spectral_kernel_matrix
 from .scattering import (
@@ -85,8 +86,8 @@ class RunConfig:
 def _linspace(value) -> tuple[float, ...]:
     """[a, b, n] -> n >= 1 points from a to b inclusive."""
     a, b, n = value
-    if int(n) < 1:
-        raise ValueError(f"range count must be >= 1, got {n}")
+    if int(n) < 1 or int(n) != float(n):
+        raise ValueError(f"range count must be an integer >= 1, got {n}")
     return tuple(np.linspace(float(a), float(b), int(n)))
 
 
@@ -98,23 +99,38 @@ def _parse_range(text: str) -> tuple[float, ...]:
         raise ValueError(f"range must look like 'a:b:n' with n >= 1, got {text!r}") from exc
 
 
-def _floats(value) -> tuple[float, ...]:
-    return tuple(float(v) for v in value)
+def _kind(kind, name: str, convert=None):
+    """Conversion of a config value that accepts only the JSON kind `name`
+    (a bool is no number)."""
+    def check(value):
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise TypeError(f"must be a JSON {name}, got {value!r}")
+        return convert(value) if convert else value
+    return check
+
+
+_number = _kind((int, float), "number", float)
+_string = _kind(str, "string")
+_numbers = _kind(list, "array", lambda values: tuple(map(_number, values)))
+_range = _kind(list, "array", lambda values: _linspace(tuple(map(_number, values))))
 
 
 # The document's shape, section -> key -> conversion: the None section is the
 # document itself and the "oracle" section fills the SolverConfig.
 _CONFIG_FIELDS = {
-    "units": {"hbar": float, "m": float},
-    "barrier": {"omega": float, "v0": float},
-    "sweep": {"k_range": _linspace, "k_values": _floats},
-    "wavefunction": {"x_range": _linspace, "x_values": _floats},
-    "propagator": {"tau": float, "points": _floats},
-    "outputs": {"format": str, "path": str},
-    None: {"use_oracle": bool, "checks": tuple},
+    "units": {"hbar": _number, "m": _number},
+    "barrier": {"omega": _number, "v0": _number},
+    "sweep": {"k_range": _range, "k_values": _numbers},
+    "wavefunction": {"x_range": _range, "x_values": _numbers},
+    "propagator": {"tau": _number, "points": _numbers},
+    "outputs": {"format": _string, "path": _string},
+    None: {
+        "use_oracle": _kind(bool, "boolean"),
+        "checks": _kind(list, "array", lambda values: tuple(map(_string, values))),
+    },
     "oracle": {
-        "box_half_width": float, "step": float, "grid_points": operator.index,
-        "match_tolerance": float, "boundary_ratio_max": float,
+        "box_half_width": _number, "step": _number,
+        "match_tolerance": _number, "boundary_ratio_max": _number,
     },
 }
 # Keys stored under another field name; of two keys for one field the later wins.
@@ -123,8 +139,9 @@ _RENAMED = {"k_range": "k_values", "x_range": "x_values", "format": "fmt", "path
 
 def load_config(path: str) -> RunConfig:
     """Read the JSON config document.  Every field is optional and an
-    absent one keeps its RunConfig default; a present one (null included)
-    of the wrong shape or type raises ValueError naming it."""
+    absent one keeps its RunConfig default; an unknown key, or a present
+    field (null included) of the wrong JSON kind or shape, raises
+    ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -135,6 +152,11 @@ def load_config(path: str) -> RunConfig:
         fields = doc.get(section, {}) if section else doc
         if not isinstance(fields, dict):
             raise ValueError(f"config field {section!r} must be a JSON object, got {fields!r}")
+        known = keys if section else keys.keys() | _CONFIG_FIELDS.keys()
+        for key in fields:
+            if key not in known:
+                where = f"{section}.{key}" if section else key
+                raise ValueError(f"config field {where!r} is not a known key")
         target = oracle if section == "oracle" else updates
         for key, convert in keys.items():
             if key in fields:
@@ -287,15 +309,6 @@ def cmd_wavefunction(cfg: RunConfig) -> tuple[tuple[str, ...], list[dict], dict 
 PROPAGATOR_COLUMNS = ("xf", "xi", "tau", "k_spectral", "k_oracle", "rel_dev", "flag")
 
 
-def _propagator_box(cfg: RunConfig) -> tuple[float, int]:
-    p = cfg.params
-    spread = math.sqrt(p.hbar * cfg.tau / p.m)
-    reach = max(abs(x) for x in cfg.points) if cfg.points else 0.0
-    L = max(6.0 / p.omega, reach + 5.0 * max(spread, 1.0 / p.omega))
-    N = cfg.oracle.grid_points or 1200
-    return L, N
-
-
 def cmd_propagator(cfg: RunConfig) -> tuple[tuple[str, ...], list[dict], int]:
     """Euclidean kernel on the (xf, xi) grid cfg.points x cfg.points at
     cfg.tau, with the grid-Hamiltonian oracle value and relative deviation
@@ -307,9 +320,10 @@ def cmd_propagator(cfg: RunConfig) -> tuple[tuple[str, ...], list[dict], int]:
     if not cfg.points:
         raise ValueError("propagator needs at least one point: give --points")
     p = cfg.params
-    L, N = _propagator_box(cfg)
+    spread = math.sqrt(p.hbar * cfg.tau / p.m)
+    L = max(6.0 / p.omega, max(map(abs, cfg.points)) + 5.0 * max(spread, 1.0 / p.omega))
     spectral = spectral_kernel_matrix(p, cfg.points, cfg.points, cfg.tau)
-    oracle = grid_propagator_matrix(p, L, N, cfg.tau, cfg.points, cfg.points)
+    oracle = grid_propagator_matrix(p, L, _GRID_START, cfg.tau, cfg.points, cfg.points)
     rows = []
     for xf, spectral_row, oracle_row in zip(cfg.points, spectral, oracle):
         for xi, kv, ko in zip(cfg.points, spectral_row, oracle_row):
@@ -335,7 +349,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], int]:
     """Run the selected (default: all) suites of coshbar.verify at cfg's
     units and omega; exit 0 iff every case passes."""
     base = PhysicalParams(m=cfg.m, hbar=cfg.hbar, omega=cfg.omega, v0=0.0)
-    report = verify.run(cfg.checks or verify.SUITES, base, cfg.oracle)
+    report = verify.run(cfg.checks or verify.SUITES, base)
     ok = all(case["pass"] for suite in report for case in suite["cases"])
     return report, 0 if ok else 1
 
@@ -377,6 +391,40 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _parse_points(text: str) -> tuple[float, ...]:
+    return _parse_range(text) if ":" in text else tuple(map(float, text.split(",")))
+
+
+# Each flag once: flag -> (RunConfig field, conversion after parsing, argparse
+# options); of two flags for one field the later one here wins.
+_FLAGS = {
+    "config": (None, None, {"help": "JSON configuration document"}),
+    "omega": ("omega", None, {"type": float, "help": "barrier width parameter (default 1)"}),
+    "v0": ("v0", None, {"type": float, "help": "barrier height (default 0)"}),
+    "k": ("k_values", tuple, {"type": float, "action": "append",
+                              "help": "wavenumber (repeatable)"}),
+    "k-range": ("k_values", _parse_range, {"help": "wavenumber sweep a:b:n"}),
+    "x-range": ("x_values", _parse_range, {"help": "wavefunction x grid a:b:n"}),
+    "tau": ("tau", None, {"type": float, "help": "Euclidean time (default 1)"}),
+    "points": ("points", _parse_points, {"help": "propagator positions a:b:n or comma list"}),
+    "oracle": ("use_oracle", None, {"action": "store_true", "default": None,
+                                    "help": "add Numerov oracle columns"}),
+    "suite": ("checks", tuple, {"action": "append",
+                                "help": "verification suite name (repeatable)"}),
+    "format": ("fmt", None, {"choices": ("csv", "json"), "help": "output format (default csv)"}),
+    "out": ("out", None, {"help": "output path (default stdout)"}),
+}
+# Each subcommand registers only the flags it reads.
+_COMMANDS = {
+    "scatter": ("sweep T/R/S over wavenumbers", "config omega v0 k k-range oracle format out"),
+    "wavefunction": ("sample scattering wave functions on an x grid",
+                     "config omega v0 k x-range format out"),
+    "propagator": ("Euclidean spectral kernel vs grid oracle",
+                   "config omega v0 tau points format out"),
+    "verify": ("run invariant verification suites", "config omega suite out"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coshbar",
@@ -384,55 +432,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"coshbar {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("scatter", "sweep T/R/S over wavenumbers"),
-        ("wavefunction", "sample scattering wave functions on an x grid"),
-        ("propagator", "Euclidean spectral kernel vs grid oracle"),
-        ("verify", "run invariant verification suites"),
-    ):
+    for name, (help_text, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", help="JSON configuration document")
-        cmd.add_argument("--omega", type=float, help="barrier width parameter (default 1)")
-        cmd.add_argument("--v0", type=float, help="barrier height (default 0)")
-        cmd.add_argument("--k", type=float, action="append", help="wavenumber (repeatable)")
-        cmd.add_argument("--k-range", help="wavenumber sweep a:b:n")
-        cmd.add_argument("--oracle", action="store_true", help="add Numerov oracle columns")
-        cmd.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        cmd.add_argument("--out", help="output path (default stdout)")
-        cmd.add_argument("--suite", action="append", help="verification suite name (repeatable)")
-        cmd.add_argument("--x-range", help="wavefunction x grid a:b:n")
-        cmd.add_argument("--tau", type=float, help="Euclidean time (default 1)")
-        cmd.add_argument("--points", help="propagator positions a:b:n or comma list")
+        for flag in flags.split():
+            cmd.add_argument(f"--{flag}", **_FLAGS[flag][2])
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The config document (if any) with the given flags ("" is not given) applied."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    points = args.points and (
-        _parse_range(args.points) if ":" in args.points else _floats(args.points.split(","))
-    )
-    flags = {
-        "omega": args.omega,
-        "v0": args.v0,
-        "k_values": _parse_range(args.k_range) if args.k_range else args.k and tuple(args.k),
-        "use_oracle": args.oracle or None,
-        "fmt": args.format,
-        "out": args.out or None,
-        "checks": args.suite and tuple(args.suite),
-        "x_values": _parse_range(args.x_range) if args.x_range else None,
-        "tau": args.tau,
-        "points": points or None,
-    }
-    return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+    given = vars(args)
+    flags = {}
+    for flag, (name, convert, _) in _FLAGS.items():
+        value = given.get(flag.replace("-", "_"))
+        if name and value not in (None, ""):
+            flags[name] = convert(value) if convert else value
+    return replace(cfg, **flags)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if args.command == "verify":
+        if args.command == "verify":  # reads no outputs section: JSON to --out
             report, code = cmd_verify(cfg)
-            _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", cfg.out)
+            _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
             return code
         footer = None
         if args.command == "scatter":

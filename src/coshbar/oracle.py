@@ -67,6 +67,7 @@ _MAX_STEPS = 20_000_000
 _BLOCK = 4096  # transfer matrices held at once by the Numerov march
 _GRID_RTOL = 1e-4  # largest change of a grid kernel entry on doubling N
 _MAX_DOUBLINGS = 4  # finest grid 16 N
+_GRID_START = 1200  # starting N of every grid oracle run; refining takes it to 16 N
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,7 @@ class SolverConfig:
     L = max(10/omega, 10/k) and
     h = min(2*pi/(40 k), 1/(40 omega), (1800*tol/(L k^5))^(1/4)),
     i.e. 40 points per oscillation and per barrier width, capped so the
-    Richardson error estimate lands below match_tolerance.  grid_points may
-    be given instead of step (h = 2L/grid_points).
+    Richardson error estimate lands below match_tolerance.
 
     boundary_ratio_max bounds V(L)/E: the plane-wave seed and match are only
     valid where the barrier tail is negligible at the requested energy.
@@ -86,7 +86,6 @@ class SolverConfig:
 
     box_half_width: float | None = None
     step: float | None = None
-    grid_points: int | None = None
     match_tolerance: float = 1e-6
     boundary_ratio_max: float = 1e-6
 
@@ -95,8 +94,6 @@ class SolverConfig:
             raise ValueError(f"box_half_width must be > 0, got {self.box_half_width}")
         if self.step is not None and not self.step > 0:
             raise ValueError(f"step must be > 0, got {self.step}")
-        if self.grid_points is not None and self.grid_points < 16:
-            raise ValueError(f"grid_points must be >= 16, got {self.grid_points}")
         if not 0 < self.match_tolerance < 1:
             raise ValueError(f"match_tolerance must be in (0, 1), got {self.match_tolerance}")
 
@@ -107,8 +104,6 @@ class SolverConfig:
             L = max(10.0 / p.omega, 10.0 / k)
         if self.step is not None:
             h = self.step
-        elif self.grid_points is not None:
-            h = 2.0 * L / self.grid_points
         else:
             h_acc = (1800.0 * self.match_tolerance / (L * k**5)) ** 0.25
             h = min(2.0 * math.pi / (40.0 * k), 1.0 / (40.0 * p.omega), h_acc)
@@ -239,7 +234,7 @@ def numerov_once(p: PhysicalParams, k: float, cfg: SolverConfig | None = None) -
     idx = _window_indices(k, 2.0 * L / n, L, n)
     x, psi = _march(k, L, _potential_nodes(p, L, n), idx[-1])
     t, r = _match_edge(x, psi, k, idx)
-    return Amplitudes.build(k, t, r)
+    return Amplitudes.build(k / p.omega, t, r)
 
 
 def numerov_amplitudes(
@@ -258,7 +253,7 @@ def numerov_amplitudes(
     SolverConfig at v8 = 0.1, k = 5 (|R| = 2.4e-8) the estimate is 4.5e-7
     and the returned R is 3.6e-3 relative off the closed form.  `coshbar
     verify` holds R to its 1e-6 relative residual only through the step
-    rule of cli._oracle_cfg_for (h = 0.012/k there: estimate 4.2e-10).
+    rule of verify._oracle_cfg_for (h = 0.012/k there: estimate 4.2e-10).
     """
     cfg = cfg or SolverConfig()
     L, h = _prepare(p, k, cfg)
@@ -286,7 +281,7 @@ def numerov_amplitudes(
         )
     t = (16.0 * t2 - t1) / 15.0
     r = (16.0 * r2 - r1) / 15.0
-    return Amplitudes.build(k, t, r)
+    return Amplitudes.build(k / p.omega, t, r)
 
 
 def _prepare(p: PhysicalParams, k: float, cfg: SolverConfig) -> tuple[float, float]:

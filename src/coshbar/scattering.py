@@ -49,10 +49,9 @@ logger = logging.getLogger(__name__)
 class Amplitudes:
     """Scattering data at one wavenumber.
 
-    k is reported in units of omega (i.e. it equals kappa) by the analytic
-    routines, and as the physical wavenumber by the Numerov oracle; t, r
-    are the complex transmission/reflection amplitudes, s = t + r, and
-    t2/r2 the transmitted/reflected flux fractions.  Flux conservation
+    k is the reduced wavenumber kappa = k/omega; t, r are the complex
+    transmission/reflection amplitudes, s = t + r, and t2/r2 the
+    transmitted/reflected flux fractions.  Flux conservation
     t2 + r2 = 1 and |s| = 1 hold to 1e-10 for every analytically produced
     instance (to the solver tolerance for oracle-produced ones).
     """

@@ -1,8 +1,8 @@
 """Verification criteria: the one implementation of every invariant suite,
 run by `coshbar verify` and by the acceptance tests.  A suite takes
-base = PhysicalParams(m, hbar, omega, v0=0.0) and the oracle SolverConfig and
-returns cases {name, residual, tolerance, pass}; the barriers it checks are
-replace(base, v0=...)."""
+base = PhysicalParams(m, hbar, omega, v0=0.0) and returns cases {name,
+residual, tolerance, pass}; the barriers it checks are replace(base, v0=...),
+and the oracles run at fixed settings, so no run setting moves a criterion."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import unwrap
-from .oracle import SolverConfig, grid_propagator_matrix, numerov_amplitudes
+from .oracle import _GRID_START, SolverConfig, grid_propagator_matrix, numerov_amplitudes
 from .params import PhysicalParams, reduce
 from .propagator import free_kernel, spectral_kernel, spectral_kernel_matrix
 from .scattering import _amplitude_arrays, _s_closed_form, amplitudes, connection_coefficients
@@ -43,7 +43,7 @@ def _grid_indices(base: PhysicalParams):
             yield f"[v8={v8:g},kappa={kappa:g}]", p, kappa * base.omega, reduce(p, kappa * base.omega)
 
 
-def suite_unitarity(base: PhysicalParams, _oracle: SolverConfig) -> list[dict]:
+def suite_unitarity(base: PhysicalParams) -> list[dict]:
     # One array call per v8 over the kappa grid; each element equals the
     # scalar amplitudes/s_function value bit for bit.
     cases = []
@@ -60,7 +60,7 @@ def suite_unitarity(base: PhysicalParams, _oracle: SolverConfig) -> list[dict]:
     return cases
 
 
-def suite_identities(base: PhysicalParams, _oracle: SolverConfig) -> list[dict]:
+def suite_identities(base: PhysicalParams) -> list[dict]:
     cases = []
     for tag, _p, _k, idx in _grid_indices(base):
         cc = connection_coefficients(idx)
@@ -71,7 +71,7 @@ def suite_identities(base: PhysicalParams, _oracle: SolverConfig) -> list[dict]:
     return cases
 
 
-def suite_symmetry(_base: PhysicalParams, _oracle: SolverConfig) -> list[dict]:
+def suite_symmetry(_base: PhysicalParams) -> list[dict]:
     rng = np.random.default_rng(20250810)
     worst_legendre = 0.0
     for _ in range(50):
@@ -96,7 +96,7 @@ def suite_symmetry(_base: PhysicalParams, _oracle: SolverConfig) -> list[dict]:
     ]
 
 
-def suite_free_limit(base: PhysicalParams, _oracle: SolverConfig) -> list[dict]:
+def suite_free_limit(base: PhysicalParams) -> list[dict]:
     amp = amplitudes(reduce(base, base.omega))
     amp_tiny = amplitudes(reduce(replace(base, v0=1e-12), base.omega))
     return [
@@ -106,7 +106,7 @@ def suite_free_limit(base: PhysicalParams, _oracle: SolverConfig) -> list[dict]:
     ]
 
 
-def suite_delta_limit(_base: PhysicalParams, _oracle: SolverConfig) -> list[dict]:
+def suite_delta_limit(_base: PhysicalParams) -> list[dict]:
     # hbar = 2m = 1 scaling, g = 2, k = 1: the narrow-barrier family
     # V0 = (hbar^2/4m) g omega collapses onto (hbar^2/2m) g delta(x).
     g, k = 2.0, 1.0
@@ -123,22 +123,19 @@ def suite_delta_limit(_base: PhysicalParams, _oracle: SolverConfig) -> list[dict
     return cases
 
 
-def _oracle_cfg_for(oracle: SolverConfig, omega: float, k: float) -> SolverConfig:
-    if oracle.box_half_width is not None or oracle.step is not None or oracle.grid_points is not None:
-        return oracle
+def _oracle_cfg_for(omega: float, k: float) -> SolverConfig:
     # Tight enough that even |R| ~ 1e-8 rows compare at 1e-6 relative.
-    return replace(
-        oracle,
+    return SolverConfig(
         box_half_width=max(16.0 / omega, 10.0 / k),
         step=min(2.0 * math.pi / (40.0 * k), 1.0 / (40.0 * omega), 0.012 / k),
     )
 
 
-def suite_oracle(base: PhysicalParams, oracle: SolverConfig) -> list[dict]:
+def suite_oracle(base: PhysicalParams) -> list[dict]:
     cases = []
     for tag, p, k, idx in _grid_indices(base):
         amp = amplitudes(idx)
-        o = numerov_amplitudes(p, k, _oracle_cfg_for(oracle, base.omega, k))
+        o = numerov_amplitudes(p, k, _oracle_cfg_for(base.omega, k))
         residual = max(
             abs(abs(o.t) - abs(amp.t)) / abs(amp.t),
             abs(cmath.phase(o.t / amp.t)),
@@ -149,7 +146,7 @@ def suite_oracle(base: PhysicalParams, oracle: SolverConfig) -> list[dict]:
     return cases
 
 
-def suite_propagator(base: PhysicalParams, oracle: SolverConfig) -> list[dict]:
+def suite_propagator(base: PhysicalParams) -> list[dict]:
     kv = spectral_kernel(base, 0.3, -0.2, 1.0)
     exact = free_kernel(base, 0.3, -0.2, 1.0)
     cases = [_case("free-kernel[tau=1]", abs(kv.value - exact) / exact, 1e-6)]
@@ -162,8 +159,7 @@ def suite_propagator(base: PhysicalParams, oracle: SolverConfig) -> list[dict]:
     grid = (-0.5, 0.0, 0.5)
     points = [x / base.omega for x in grid]
     spectral = spectral_kernel_matrix(p2, points, points, 1.0)
-    L, N = 6.0 / base.omega, oracle.grid_points or 1200
-    reference = grid_propagator_matrix(p2, L, N, 1.0, points, points)
+    reference = grid_propagator_matrix(p2, 6.0 / base.omega, _GRID_START, 1.0, points, points)
     for a, xf in enumerate(grid):
         for b, xi in enumerate(grid):
             kv, ko = unwrap(spectral[a][b]), unwrap(reference[a][b])
@@ -184,6 +180,6 @@ SUITES = {
 }
 
 
-def run(names, base: PhysicalParams, oracle: SolverConfig) -> list[dict]:
+def run(names, base: PhysicalParams) -> list[dict]:
     """One {suite, cases} entry per name, in the given order."""
-    return [{"suite": name, "cases": SUITES[name](base, oracle)} for name in names]
+    return [{"suite": name, "cases": SUITES[name](base)} for name in names]

@@ -15,7 +15,6 @@ import pytest
 
 from coshbar import (
     PhysicalParams,
-    SolverConfig,
     amplitudes,
     asymptotic_extract,
     reduce,
@@ -40,7 +39,7 @@ def report(name: str, worst: float, tolerance: float) -> None:
 def test_verify_suite(suite):
     t_start = time.time()
     base = PhysicalParams(m=1.0, hbar=1.0, omega=1.0, v0=0.0)
-    [result] = verify.run([suite], base, SolverConfig())
+    [result] = verify.run([suite], base)
     elapsed = time.time() - t_start
     for case in result["cases"]:
         status = "PASS" if case["pass"] else "FAIL"

@@ -251,6 +251,52 @@ def test_verify_single_suite_selection():
     assert [s["suite"] for s in report] == ["free-limit"]
 
 
+def test_verify_ignores_oracle_settings(tmp_path):
+    # The oracle suite runs the Numerov solver at its own box and step, so a
+    # config's oracle section (meant for scatter --oracle) cannot fail it.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"checks": ["oracle"], "oracle": {"box_half_width": 16.0}}))
+    report, code = cmd_verify(load_config(str(path)))
+    assert code == 0
+    assert report == cmd_verify(RunConfig(checks=("oracle",)))[0]
+
+
+def test_readme_example_config_loads_and_verifies(tmp_path, monkeypatch, capsys):
+    # verify reads no outputs section: the example's "path" is for scatter,
+    # and the report goes to stdout.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    doc = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    cfg = load_config(str(path))
+    assert cfg.checks == ("unitarity", "oracle") and cfg.out == "sweep.csv"
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--config", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [suite["suite"] for suite in report] == ["unitarity", "oracle"]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--v0", "1"],
+        ["verify", "--format", "csv"],
+        ["scatter", "--k", "1", "--tau", "2"],
+        ["wavefunction", "--k", "1", "--x-range=-1:1:3", "--oracle"],
+        ["propagator", "--k", "1"],
+    ],
+    ids=" ".join,
+)
+def test_subcommand_rejects_flags_it_does_not_read(args, capsys):
+    # A flag is registered only on the subcommands that read it; any other
+    # is an argparse usage error, not a setting that is parsed and dropped.
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_config_file_roundtrip(tmp_path):
     doc = {
         "units": {"hbar": 2.0, "m": 0.5},
@@ -291,16 +337,30 @@ def test_config_file_explicit_lists(tmp_path):
         ({"barrier": {"v0": None}}, "barrier.v0"),
         ({"sweep": {"k_values": 3}}, "sweep.k_values"),
         ({"oracle": {"step": "x"}}, "oracle.step"),
+        ({"sweep": {"k_values": "123"}}, "sweep.k_values"),
+        ({"use_oracle": "false"}, "use_oracle"),
+        ({"barrier": {"V0": 0.25}}, "barrier.V0"),
+        ({"checks": "unitarity"}, "checks"),
+        ({"oracle": {"grid_points": 2400}}, "oracle.grid_points"),
+        ({"barrier": {"v0": True}}, "barrier.v0"),
+        ({"units": {"hbar": "2"}}, "units.hbar"),
+        ({"propagator": {"points": ["0.5"]}}, "propagator.points"),
+        ({"outputs": {"format": ["json"]}}, "outputs.format"),
+        ({"sweeps": {"k_values": [1.0]}}, "sweeps"),
+        ({"sweep": {"k_range": [0.5, 1.0, 2.5]}}, "sweep.k_range"),
     ],
 )
 def test_malformed_config_field_is_a_config_error(doc, field, tmp_path, capsys):
-    # Exit 1 is kept for residual failures: a field of the wrong shape or
-    # type exits 2 with a message naming it, never a traceback.
+    # Exit 1 is kept for residual failures: an unknown key, or a field of the
+    # wrong JSON kind or shape, exits 2 with a message naming it, never a
+    # traceback.  A string is no list, flag or number, a bool no number, and
+    # a range count no fraction.
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
     assert main(["scatter", "--k", "1", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("coshbar: config error") and f"config field {field!r}" in err
+    assert "must be" in err or "is not a known key" in err
 
 
 def test_unknown_suite_rejected():

@@ -95,20 +95,20 @@ def test_boundary_ratio_guard():
         numerov_amplitudes(p, 1.0, SolverConfig(box_half_width=3.0))
 
 
+def test_amplitudes_k_is_kappa_on_every_path():
+    # Amplitudes.k holds k/omega whether the closed form or Numerov built it.
+    from coshbar import amplitudes
+
+    p = params_for(2.0, omega=2.0)
+    cfg = SolverConfig(box_half_width=10.0)
+    built = (amplitudes(reduce(p, 3.0)), numerov_once(p, 3.0, cfg), numerov_amplitudes(p, 3.0, cfg))
+    assert [amp.k for amp in built] == [1.5, 1.5, 1.5]
+
+
 def test_rejects_zero_wavenumber():
     p = params_for(1.0)
     with pytest.raises(ValueError):
         numerov_amplitudes(p, 0.0)
-
-
-def test_grid_points_config_alternative():
-    # grid_points stands in for step: h = 2L/N.
-    from coshbar import amplitudes
-
-    p = params_for(2.0)
-    ref = amplitudes(reduce(p, 1.0))
-    amp = numerov_amplitudes(p, 1.0, SolverConfig(box_half_width=16.0, grid_points=2000))
-    assert abs(amp.t - ref.t) < 1e-6
 
 
 def test_solver_config_validation():
@@ -116,8 +116,6 @@ def test_solver_config_validation():
         SolverConfig(box_half_width=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(step=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(grid_points=4)
     with pytest.raises(ValueError):
         SolverConfig(match_tolerance=2.0)
 
@@ -147,7 +145,7 @@ def _sequential_march(p, k, L, n):
 def _verify_grid(v8, kappa):
     """The coarse grid and match window of the verify oracle suite."""
     p = params_for(v8)
-    L, h = _prepare(p, kappa, _oracle_cfg_for(SolverConfig(), 1.0, kappa))
+    L, h = _prepare(p, kappa, _oracle_cfg_for(1.0, kappa))
     n = _even_steps(L, h)
     return p, L, n, _window_indices(kappa, 2.0 * L / n, L, n)
 

@@ -45,7 +45,7 @@ def test_flux_conservation_and_unitarity_on_grid():
     # bit, at omega = 1 and off it.
     for omega in (1.0, 0.8123):
         base = PhysicalParams(m=1.0, hbar=1.0, omega=omega, v0=0.0)
-        cases = iter(SUITES["unitarity"](base, SolverConfig()))
+        cases = iter(SUITES["unitarity"](base))
         for v8 in V8_GRID:
             for kappa in KAPPA_GRID:
                 _, idx = index_of(v8, kappa, omega=omega)
