@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, verify
 from .errors import NumericalError
-from .oracle import _GRID_START, SolverConfig, grid_propagator_matrix, numerov_amplitudes
+from .oracle import SolverConfig, grid_propagator_matrix, numerov_amplitudes
 from .params import PhysicalParams, reduce
 from .propagator import spectral_kernel_matrix
 from .scattering import (
@@ -313,23 +313,21 @@ def cmd_propagator(cfg: RunConfig) -> tuple[tuple[str, ...], list[dict], int]:
     """Euclidean kernel on the (xf, xi) grid cfg.points x cfg.points at
     cfg.tau, with the grid-Hamiltonian oracle value and relative deviation
     per row.  Each side is one matrix call; an entry that fails flags its
-    own row (keeping k_spectral when only the oracle failed), and bad input
-    raises before any row is computed."""
+    own row (keeping the other side's value when only one side failed), and
+    bad input raises before any row is computed."""
     if cfg.tau <= 0:
         raise ValueError(f"tau must be > 0, got {cfg.tau}")
     if not cfg.points:
         raise ValueError("propagator needs at least one point: give --points")
-    p = cfg.params
-    spread = math.sqrt(p.hbar * cfg.tau / p.m)
-    L = max(6.0 / p.omega, max(map(abs, cfg.points)) + 5.0 * max(spread, 1.0 / p.omega))
-    spectral = spectral_kernel_matrix(p, cfg.points, cfg.points, cfg.tau)
-    oracle = grid_propagator_matrix(p, L, _GRID_START, cfg.tau, cfg.points, cfg.points)
+    spectral = spectral_kernel_matrix(cfg.params, cfg.points, cfg.points, cfg.tau)
+    oracle = grid_propagator_matrix(cfg.params, cfg.tau, cfg.points, cfg.points)
     rows = []
     for xf, spectral_row, oracle_row in zip(cfg.points, spectral, oracle):
         for xi, kv, ko in zip(cfg.points, spectral_row, oracle_row):
             keys = {"xf": xf, "xi": xi, "tau": cfg.tau}
             if isinstance(kv, Exception):
-                rows.append(_error_row(PROPAGATOR_COLUMNS, kv, **keys))
+                resolved = {} if isinstance(ko, Exception) else {"k_oracle": ko}
+                rows.append(_error_row(PROPAGATOR_COLUMNS, kv, **keys, **resolved))
             elif isinstance(ko, Exception):
                 rows.append(_error_row(PROPAGATOR_COLUMNS, ko, **keys, k_spectral=kv.value))
             else:

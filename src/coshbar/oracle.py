@@ -8,13 +8,16 @@ Two solvers that never touch the gamma-function results:
   reads off T = 1/A, R = B/A from a plane-wave match at the left edge.
 
 * :func:`grid_propagator_matrix` (and its 1 x 1 case :func:`grid_propagator`)
-  takes the eigenpairs of the finite-difference Hamiltonian on [-L, L] with
-  Dirichlet walls that e^{-E tau/hbar} leaves above 1e-16 of the ground
-  state, and sums the Euclidean spectral kernel
-  sum_n e^{-E_n tau/hbar} phi_n(xf) phi_n(xi) for all points at once.  N is
-  the starting grid: it doubles, up to 16 N, until each entry changes by at
-  most 1e-4 relative.  An entry whose eigenvector roundoff floor passes that
-  gate first is refused, since doubling N raises the floor.
+  picks a box [-L, L] and a starting spacing dx from the points, tau and
+  omega, takes the eigenpairs of the finite-difference Hamiltonian on the
+  nodes j dx (Dirichlet walls) that e^{-E tau/hbar} leaves above 1e-16 of
+  the ground state, and sums the Euclidean spectral kernel
+  sum_n e^{-E_n tau/hbar} phi_n(xf) phi_n(xi) for all points at once, with
+  phi_n 4-point Lagrange-interpolated between nodes.  The error is O(dx^2),
+  so each halving of dx forms the Richardson extrapolant (4 K_{dx/2} - K_dx)/3,
+  and each entry takes the first extrapolant within 1e-6 relative of the one
+  before it.  An entry whose eigenvector roundoff floor passes that gate
+  first is refused, since halving dx raises the floor.
 
 The Numerov march is a product of 2 x 2 transfer matrices, one per step.
 The match needs psi only in a trailing window at the left edge, so the
@@ -43,14 +46,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import ConvergenceError, StepTooCoarseError, unwrap
 from .params import PhysicalParams
-from .propagator import _LOG_TAIL
 from .scattering import Amplitudes, _fit_plane_waves
 
 __all__ = [
@@ -65,9 +66,10 @@ logger = logging.getLogger(__name__)
 
 _MAX_STEPS = 20_000_000
 _BLOCK = 4096  # transfer matrices held at once by the Numerov march
-_GRID_RTOL = 1e-4  # largest change of a grid kernel entry on doubling N
-_MAX_DOUBLINGS = 4  # finest grid 16 N
-_GRID_START = 1200  # starting N of every grid oracle run; refining takes it to 16 N
+_GRID_RTOL = 1e-6  # largest change of a grid kernel entry between successive extrapolants
+_MAX_HALVINGS = 5  # finest grid spacing dx0/32
+_MAX_NODES = 1 << 16  # nodes of the finest grid; the eigensolve grows with them
+_LOG_CUTOFF = 16.0 * math.log(10.0)  # eigenpairs below 1e-16 Boltzmann weight are dropped
 
 
 @dataclass(frozen=True)
@@ -303,117 +305,112 @@ def _even_steps(L: float, h: float) -> int:
     return n + (n % 2)
 
 
-@lru_cache(maxsize=8)
-def _eigensystem(p: PhysicalParams, L: float, N: int, tau: float):
-    """Eigenpairs of the N-point Dirichlet finite-difference Hamiltonian on
-    [-L, L] that exp(-H tau/hbar) can see: those with Boltzmann weight
-    exp(-(E - E0) tau/hbar) >= 1e-16, the cutoff that also sets the
-    shortest tau the spectral kernel accepts.
-    Cached per (params, L, N, tau)."""
-    dx = 2.0 * L / (N + 1)
-    xs = -L + dx * np.arange(1, N + 1)
+def _eigensystem(p: PhysicalParams, L: float, dx: float, tau: float):
+    """Nodes j dx with |j dx| <= L, and the eigenpairs of their Dirichlet
+    finite-difference Hamiltonian that exp(-H tau/hbar) can see: those with
+    Boltzmann weight exp(-(E - E0) tau/hbar) >= 1e-16."""
+    half = int(L / dx)
+    xs = dx * np.arange(-half, half + 1)
     t0 = p.hbar**2 / (p.m * dx * dx)
     diag = t0 + p.potential(xs)
-    off = np.full(N - 1, -0.5 * t0)
+    off = np.full(2 * half, -0.5 * t0)
     e0 = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
     # V >= 0 puts every eigenvalue above -t0 (Gershgorin)
     energies, vectors = eigh_tridiagonal(
-        diag, off, select="v", select_range=(-t0, e0 + p.hbar * _LOG_TAIL / tau)
+        diag, off, select="v", select_range=(-t0, e0 + p.hbar * _LOG_CUTOFF / tau)
     )
-    return xs, dx, energies, vectors
+    return xs, energies, vectors
 
 
-def _grid_kernel(
-    p: PhysicalParams, L: float, N: int, tau: float, xfs, xis
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel matrix Phi_f diag(w) Phi_i^T / dx on one grid, where row a of
-    Phi holds the eigenvectors bilinearly interpolated to point a, and the
-    eigenvector roundoff floor of each entry, eps N sqrt(K(xf, xf) K(xi, xi))."""
-    xs, dx, energies, vectors = _eigensystem(p, L, N, tau)
-    # sqrt(w) on both sides: entry (a, b) then multiplies the same numbers as
-    # entry (b, a) of the swapped call, so K(xf, xi) == K(xi, xf) bit for bit
-    root_w = np.sqrt(np.exp(-energies * tau / p.hbar))
-
-    def rows(xq: np.ndarray) -> np.ndarray:
-        if not np.all((xs[0] <= xq) & (xq <= xs[-1])):
-            raise ValueError(f"points {xq} reach outside the interior grid of [-L, L]")
-        j = np.minimum(((xq - xs[0]) / dx).astype(int), N - 2)
-        frac = ((xq - xs[j]) / dx)[:, None]
-        return ((1.0 - frac) * vectors[j] + frac * vectors[j + 1]) * root_w
-
-    phi_f, phi_i = rows(xfs), rows(xis)
+def _grid_kernel(p: PhysicalParams, L: float, dx: float, tau: float, points: np.ndarray):
+    """Kernel matrix (K + K^T)/2 over points on the grid of spacing dx, with
+    K = Phi diag(w) Phi^T / dx and row a of Phi the 4-point Lagrange
+    interpolant of the eigenvector rows at point a (at a node, exactly that
+    node's row), and each entry's eigenvector roundoff floor,
+    eps N sqrt(K(xf, xf) K(xi, xi))."""
+    xs, energies, vectors = _eigensystem(p, L, dx, tau)
+    s = points / dx
+    j = np.floor(s)
+    t = (s - j)[:, None]
+    # weights of the nodes j - 1 .. j + 2; at t = 0 they are exactly (0, 1, 0, 0)
+    weights = np.hstack([-t * (t - 1) * (t - 2) / 6, (t * t - 1) * (t - 2) / 2,
+                         -(t + 1) * t * (t - 2) / 2, (t * t - 1) * t / 6])
+    stencil = (j.astype(int) + len(xs) // 2)[:, None] + np.arange(-1, 3)
+    rows = np.einsum("as,asn->an", weights, vectors[stencil])
+    rows *= np.sqrt(np.exp(-energies * tau / p.hbar))
+    kernel = rows @ rows.T / dx
     # K(x, x) is the squared norm of row x over dx; the eigenvector error
-    # grows with N, so an entry far below its diagonals drowns as N grows
-    norms = np.outer(np.linalg.norm(phi_f, axis=1), np.linalg.norm(phi_i, axis=1))
-    return phi_f @ phi_i.T / dx, np.finfo(float).eps * N * norms / dx
+    # grows with N, so an entry far below its diagonals drowns as dx shrinks
+    norms = np.linalg.norm(rows, axis=1)
+    floor = np.finfo(float).eps * len(xs) * np.outer(norms, norms) / dx
+    return (kernel + kernel.T) / 2.0, floor
 
 
 def grid_propagator_matrix(
-    p: PhysicalParams, L: float, N: int, tau: float, xfs, xis
+    p: PhysicalParams, tau: float, xfs, xis
 ) -> list[list[float | ConvergenceError]]:
     """Grid kernel K(xf, xi; tau) for every xf in xfs and xi in xis: rows of
-    floats, or of the ConvergenceError of an entry the grid cannot resolve.
-
-    N is the starting grid.  Each entry is the value on the coarsest grid
-    N, 2N, 4N, 8N whose doubling changes it by at most 1e-4 relative; an
-    entry that still moves between 8N and 16N is the error.  So is an entry
-    whose eigenvector roundoff floor, eps N sqrt(K(xf, xf) K(xi, xi)), passes
-    1e-4 of it on the doubled grid: refining further only raises the floor.
-    """
-    if tau <= 0:
+    floats, or of the ConvergenceError of an entry the grid cannot resolve,
+    refined as the module docstring says.  The box is L = max(6/omega,
+    max|x| + 5 max(sqrt(hbar tau/m), 1/omega)); dx starts at
+    0.1 min(1/omega, sqrt(hbar tau/m)) and halves at most 5 times.  Points
+    that give the finest grid more than _MAX_NODES nodes are a ValueError,
+    raised before any solve."""
+    if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    if N < 200:
-        raise ValueError(f"N must be >= 200, got {N}")
-    xfs = np.asarray(xfs, dtype=float)
-    xis = np.asarray(xis, dtype=float)
-    if not (np.all(np.abs(xfs) < L) and np.all(np.abs(xis) < L)):
-        raise ValueError("xf, xi must lie strictly inside (-L, L)")
-    kernel = np.full((len(xfs), len(xis)), np.nan)
-    pending = np.ones(kernel.shape, dtype=bool)
-    refused = {}
-    value, _ = _grid_kernel(p, L, N, tau, xfs, xis)
-    for doubling in range(_MAX_DOUBLINGS):
-        n = N << doubling
-        refined, floor = _grid_kernel(p, L, 2 * n, tau, xfs, xis)
-        gate = _GRID_RTOL * np.abs(refined)
+    points, inverse = np.unique(np.concatenate([xfs, xis]).astype(float), return_inverse=True)
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"points must be finite, got {points}")
+    spread = math.sqrt(p.hbar * tau / p.m)
+    L = max(6.0 / p.omega, float(np.max(np.abs(points))) + 5.0 * max(spread, 1.0 / p.omega))
+    # on coarser grids the interpolation error is erratic in dx, and two
+    # extrapolants there can agree by chance far from the limit
+    dx = 0.1 * min(1.0 / p.omega, spread)
+    nodes = 2.0 * L * 2**_MAX_HALVINGS / dx
+    if nodes > _MAX_NODES:
+        raise ValueError(
+            f"grid oracle's finest grid on [-L, L], L = {L:.3g}, needs {nodes:.3g} nodes, "
+            f"past the cap {_MAX_NODES}: points too far out for tau={tau}"
+        )
+    rows, cols = inverse[: len(xfs)].tolist(), inverse[len(xfs) :].tolist()
+    kernel = np.full((len(points), len(points)), np.nan)
+    pending = np.zeros(kernel.shape, dtype=bool)
+    pending[np.ix_(rows, cols)] = True
+    errors = {}
+    value, _ = _grid_kernel(p, L, dx, tau, points)
+    previous = np.full(kernel.shape, np.inf)
+    for _ in range(_MAX_HALVINGS):
+        dx /= 2.0
+        refined, floor = _grid_kernel(p, L, dx, tau, points)
+        extrapolant = (4.0 * refined - value) / 3.0
+        gate = _GRID_RTOL * np.abs(extrapolant)
         for a, b in zip(*np.nonzero(pending & (floor > gate))):
-            refused[a, b] = ConvergenceError(
-                f"grid kernel {refined[a, b]:.3e} cannot be resolved to {_GRID_RTOL:.0e} "
+            errors[a, b] = ConvergenceError(
+                f"grid kernel {extrapolant[a, b]:.3e} cannot be resolved to {_GRID_RTOL:.0e} "
                 f"relative: its eigenvector roundoff floor eps*N*sqrt(K(xf,xf)*K(xi,xi)) = "
-                f"{floor[a, b]:.3e} exceeds {gate[a, b]:.3e} at N={2 * n} "
-                f"(started at N={N}), and refining raises the floor"
+                f"{floor[a, b]:.3e} exceeds {gate[a, b]:.3e} at dx={dx:.4g}, and refining raises it"
             )
             pending[a, b] = False
-        change = np.abs(refined - value)
+        change = np.abs(extrapolant - previous)
         passed = pending & (change <= gate)
-        kernel[passed] = value[passed]
+        kernel[passed] = extrapolant[passed]
         pending &= ~passed
         if not pending.any():
             break
-        value = refined
-    results = kernel.tolist()
-    for (a, b), error in refused.items():
-        results[a][b] = error
+        value, previous = refined, extrapolant
     for a, b in zip(*np.nonzero(pending)):
-        results[a][b] = ConvergenceError(
-            f"grid kernel changed by {change[a, b] / abs(refined[a, b]):.3e} relative "
-            f"on doubling N={n} (started at N={N}); enlarge the starting grid"
+        errors[a, b] = ConvergenceError(
+            f"grid kernel extrapolant changed by {change[a, b] / abs(extrapolant[a, b]):.3e} "
+            f"relative on halving dx to {dx:.4g}, the finest grid"
         )
-    return results
+    return [[errors.get((a, b), float(kernel[a, b])) for b in cols] for a in rows]
 
 
-def grid_propagator(
-    p: PhysicalParams, L: float, N: int, tau: float, xf: float, xi: float
-) -> float:
+def grid_propagator(p: PhysicalParams, tau: float, xf: float, xi: float) -> float:
     """Euclidean kernel of exp(-H tau/hbar) from the visible spectrum of the
-    finite-difference Hamiltonian, refined from the starting grid N until
-    doubling changes it by at most 1e-4 relative (the 1 x 1 case of
-    grid_propagator_matrix).
-
+    finite-difference Hamiltonian (the 1 x 1 case of grid_propagator_matrix).
     Eigenvectors are normalized per node, so phi_n(x) = v_n(x)/sqrt(dx) and
-    the kernel carries an overall 1/dx.  Off-node (xf, xi) are bilinearly
-    interpolated between neighbouring nodes.  The kernel is exactly
-    symmetric: grid_propagator(..., xf, xi) == grid_propagator(..., xi, xf)
-    holds bit for bit, not just to rounding.
+    the kernel carries an overall 1/dx.  The kernel is exactly symmetric:
+    grid_propagator(..., xf, xi) == grid_propagator(..., xi, xf) bit for bit.
     """
-    return unwrap(grid_propagator_matrix(p, L, N, tau, [xf], [xi])[0][0])
+    return unwrap(grid_propagator_matrix(p, tau, [xf], [xi])[0][0])

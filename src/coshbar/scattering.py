@@ -210,13 +210,14 @@ def _log_normalization(idx: BarrierIndex, p: PhysicalParams) -> float:
     For real nu, D coincides with |sin(pi(nu - i kappa))|^2; for nu on the
     critical line nu = -1/2 + i lam it is the analytic continuation of that
     expression, cosh(pi(kappa - lam)) cosh(pi(kappa + lam)), which is the
-    combination actually required for the states to be delta-normalized in
-    energy -- the absolute-value form breaks completeness for strong
-    barriers, as the grid-Hamiltonian oracle confirms.  In logs, D does not
-    overflow at strong barriers (lam ~ 500 at v8 = 1e6) or kappa = 120, and
-    the prefactor (about e^(-pi lam)) meets the 2F1's gamma prefactors
-    before either leaves the float64 range.  nu must be real or on the
-    critical line, as reduce() makes it."""
+    combination the states need to be delta-normalized in energy; the
+    absolute-value form differs from it for strong barriers.  This is
+    derived, not checked: nothing yet sums these states into the
+    propagator to test completeness.  In logs, D does not overflow at
+    strong barriers (lam ~ 500 at v8 = 1e6) or kappa = 120, and the
+    prefactor (about e^(-pi lam)) meets the 2F1's gamma prefactors before
+    either leaves the float64 range.  nu must be real or on the critical
+    line, as reduce() makes it."""
     nu, y = complex(idx.nu), math.pi * idx.kappa
     log_sinh = y + math.log(-math.expm1(-2.0 * y)) - math.log(2.0)
     if nu.imag == 0.0:

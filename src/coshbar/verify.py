@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import unwrap
-from .oracle import _GRID_START, SolverConfig, grid_propagator_matrix, numerov_amplitudes
+from .oracle import SolverConfig, grid_propagator_matrix, numerov_amplitudes
 from .params import PhysicalParams, reduce
 from .propagator import free_kernel, spectral_kernel, spectral_kernel_matrix
 from .scattering import _amplitude_arrays, _s_closed_form, amplitudes, connection_coefficients
@@ -159,12 +159,12 @@ def suite_propagator(base: PhysicalParams) -> list[dict]:
     grid = (-0.5, 0.0, 0.5)
     points = [x / base.omega for x in grid]
     spectral = spectral_kernel_matrix(p2, points, points, 1.0)
-    reference = grid_propagator_matrix(p2, 6.0 / base.omega, _GRID_START, 1.0, points, points)
+    reference = grid_propagator_matrix(p2, 1.0, points, points)
     for a, xf in enumerate(grid):
         for b, xi in enumerate(grid):
             kv, ko = unwrap(spectral[a][b]), unwrap(reference[a][b])
             cases.append(
-                _case(f"grid-oracle[v8=2,xf={xf:g},xi={xi:g}]", abs(kv.value - ko) / ko, 1e-3)
+                _case(f"grid-oracle[v8=2,xf={xf:g},xi={xi:g}]", abs(kv.value - ko) / ko, 1e-6)
             )
     return cases
 

@@ -162,7 +162,7 @@ def test_propagator_rows():
     assert code == 0
     assert len(rows) == 4
     for row in rows:
-        assert row["rel_dev"] < 1e-3
+        assert row["rel_dev"] < 1e-6
     swapped = {(r["xf"], r["xi"]): r["k_spectral"] for r in rows}
     assert swapped[(-0.5, 0.5)] == pytest.approx(swapped[(0.5, -0.5)], rel=1e-12)
 
@@ -189,12 +189,12 @@ def test_propagator_free_matches_closed_form():
     ],
 )
 def test_propagator_oracle_refines_past_starting_grid(v0, tau, points):
-    # The grid changes by more than 1e-4 on doubling N = 1200 here; the
-    # oracle keeps doubling instead of flagging the row.
+    # The extrapolants of the first halvings differ by more than 1e-6 here;
+    # the oracle keeps halving dx instead of flagging the row.
     _, rows, code = cmd_propagator(RunConfig(v0=v0, tau=tau, points=points))
     assert code == 0
     assert [row["flag"] for row in rows] == [""] * len(points) ** 2
-    assert max(row["rel_dev"] for row in rows) < 2e-4
+    assert max(row["rel_dev"] for row in rows) < 1e-6
 
 
 def test_propagator_bad_tau_is_config_error(capsys):
@@ -220,9 +220,9 @@ def test_propagator_unresolvable_pair_flags_only_its_rows():
 
 def test_propagator_entries_below_the_roundoff_floor_are_refused_alike(tmp_path):
     # K(+-6, 0) = K(0, +-6) is about 5.8e-9 against diagonals of 0.3-0.4. On
-    # the N = 9600 grid its eigenvector roundoff floor passes 1e-4 of it, so
-    # all four mirror images are refused there and none passes on a lucky
-    # rounding; K(+-6, -+6) is about 2e-32 and is refused at once.
+    # the first halving, dx = 0.05, its eigenvector roundoff floor passes 1e-6
+    # of it, so all four mirror images are refused there and none passes on
+    # a lucky rounding; K(+-6, -+6) is about 2e-32 and is refused at once.
     main_args = ["propagator", "--v0", "0.25", "--tau", "1", "--points=-6,0,6"]
     _, rows, code = cmd_propagator(RunConfig(v0=0.25, tau=1.0, points=(-6.0, 0.0, 6.0)))
     assert code == 3 == main(main_args + ["--out", str(tmp_path / "kernel.csv")])
@@ -232,7 +232,24 @@ def test_propagator_entries_below_the_roundoff_floor_are_refused_alike(tmp_path)
         assert "roundoff floor" in flags[xf, xi]
     for x in (-6.0, 0.0, 6.0):
         assert flags[x, x] == ""
-    assert "at N=9600 (started at N=1200)" in flags[6.0, 0.0]
+    assert "at dx=0.05," in flags[6.0, 0.0]
+
+
+def test_propagator_keeps_oracle_value_when_the_spectral_side_fails():
+    # v8 = 100, tau = 3: the Talbot contour refuses every entry, while the
+    # grid oracle resolves them; each row keeps its k_oracle.  References:
+    # the 30-digit mpmath referee of tests/test_propagator.py.
+    _, rows, code = cmd_propagator(RunConfig(v0=12.5, tau=3.0, points=(-0.5, 0.0, 0.5)))
+    assert code == 3
+    assert all(row["flag"].startswith("error") for row in rows)
+    oracle = {(row["xf"], row["xi"]): row["k_oracle"] for row in rows}
+    referee = {
+        (0.0, 0.0): 8.6373404820754333e-8,
+        (0.5, 0.5): 4.5578601693287672e-6,
+        (0.5, -0.5): 9.9265523681280884e-8,
+    }
+    for pair, ref in referee.items():
+        assert abs(oracle[pair] - ref) <= 1e-7 * ref, pair
 
 
 def test_verify_all_suites_pass():

@@ -1,5 +1,7 @@
+import ast
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +13,15 @@ from coshbar import (
     grid_propagator,
     numerov_amplitudes,
     numerov_once,
+    oracle,
     reduce,
+    spectral_kernel,
 )
 from coshbar.oracle import (
     SolverConfig,
     _eigensystem,
     _even_steps,
+    _grid_kernel,
     _march,
     _match_edge,
     _potential_nodes,
@@ -260,41 +265,56 @@ def test_grid_free_kernel():
 
     p = params_for(0.0)
     exact = free_kernel(p, 0.4, -0.3, 1.0)
-    val = grid_propagator(p, 8.0, 1600, 1.0, 0.4, -0.3)
-    assert abs(val - exact) < 1e-4 * exact
+    val = grid_propagator(p, 1.0, 0.4, -0.3)
+    assert abs(val - exact) < 1e-6 * exact
 
 
 def test_grid_symmetry_is_exact():
     p = params_for(2.0)
-    a = grid_propagator(p, 6.0, 800, 1.0, 0.5, -0.5)
-    b = grid_propagator(p, 6.0, 800, 1.0, -0.5, 0.5)
+    a = grid_propagator(p, 1.0, 0.5, -0.5)
+    b = grid_propagator(p, 1.0, -0.5, 0.5)
     assert a == b
 
 
 def test_grid_positivity():
     p = params_for(5.0)
     for xf, xi, tau in ((0.0, 0.0, 0.5), (1.0, -1.0, 1.0), (0.3, 2.0, 2.0)):
-        assert grid_propagator(p, 7.0, 900, tau, xf, xi) > 0
+        assert grid_propagator(p, tau, xf, xi) > 0
 
 
 def test_grid_reference_value():
-    # (v8, tau, xf, xi) = (2, 1, 0.5, -0.5): convergence study gave
-    # 0.19717368 at N=1200 (continuum-extrapolated 0.1971752).
+    # (v8, tau, xf, xi) = (2, 1, 0.5, -0.5): the Talbot kernel, which the
+    # 30-digit mpmath referee holds to 1e-10.
     p = params_for(2.0)
-    val = grid_propagator(p, 6.0, 1200, 1.0, 0.5, -0.5)
-    assert val == pytest.approx(0.197173679, rel=1e-6)
-    assert val == pytest.approx(0.1971752, rel=2e-5)
+    val = grid_propagator(p, 1.0, 0.5, -0.5)
+    assert val == pytest.approx(0.19717516738, rel=1e-7)
+
+
+def test_grid_extrapolant_error_falls_per_halving():
+    # The premise of the gate: the extrapolant (4 K_{dx/2} - K_dx)/3 leaves
+    # an O(dx^4) error, so each halving cuts its error against the Talbot
+    # kernel by about 16, and at least by 8.  0.4 and -0.4 are nodes of
+    # every grid from dx = 0.1, the oracle's first grid here; the last error,
+    # about 6e-9, stays well above Talbot's own.
+    p = params_for(2.0)
+    points = np.array([-0.4, 0.4])
+    exact = spectral_kernel(p, 0.4, -0.4, 1.0).value
+    kernels = [_grid_kernel(p, 6.0, 0.1 / 2**n, 1.0, points)[0][0, 1] for n in range(4)]
+    errors = [abs((4.0 * fine - coarse) / 3.0 - exact) for coarse, fine in zip(kernels, kernels[1:])]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine * 8.0 <= coarse, errors
 
 
 def test_grid_eigensolver_residuals():
     # ||H phi - E phi|| < 1e-10 for a sample of eigenpairs; at tau = 0.01 the
-    # Boltzmann cutoff keeps all 400.
+    # Boltzmann cutoff keeps all 401.
     p = params_for(2.0)
-    xs, dx, energies, vectors = _eigensystem(p, 6.0, 400, 0.01)
-    assert len(energies) == 400
+    dx = 0.03
+    xs, energies, vectors = _eigensystem(p, 6.0, dx, 0.01)
+    assert len(energies) == len(xs) == 401
     t0 = p.hbar**2 / (p.m * dx * dx)
     diag = t0 + p.potential(xs)
-    for n in (0, 5, 50, 200, 399):
+    for n in (0, 5, 50, 200, 400):
         v = vectors[:, n]
         hv = diag * v
         hv[:-1] += -0.5 * t0 * v[1:]
@@ -302,73 +322,101 @@ def test_grid_eigensolver_residuals():
         assert np.linalg.norm(hv - energies[n] * v) < 1e-10 * max(1.0, abs(energies[n]))
 
 
-def test_grid_input_validation():
+def test_grid_input_validation(monkeypatch):
     p = params_for(1.0)
     with pytest.raises(ValueError):
-        grid_propagator(p, 6.0, 100, 1.0, 0.0, 0.0)  # N too small
-    with pytest.raises(ValueError):
-        grid_propagator(p, 6.0, 400, -1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        grid_propagator(p, 6.0, 400, 1.0, 7.0, 0.0)
+        grid_propagator(p, -1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        grid_propagator(p, 1.0, math.nan, 0.0)
+
+    # a far point would need a huge eigensolve: the node cap refuses it first
+    def no_solve(*args):
+        raise AssertionError("eigensolve started")
+
+    monkeypatch.setattr(oracle, "_eigensystem", no_solve)
+    with pytest.raises(ValueError, match="past the cap"):
+        grid_propagator(p, 1.0, 0.0, 1000.0)
 
 
 def test_grid_swapped_calls_agree_bit_for_bit():
     p = params_for(2.0)
     rng = np.random.default_rng(7)
     for xf, xi in rng.uniform(-1.0, 1.0, size=(12, 2)):
-        forward = grid_propagator(p, 7.0, 900, 1.0, xf, xi)
-        assert forward == grid_propagator(p, 7.0, 900, 1.0, xi, xf)
+        forward = grid_propagator(p, 1.0, xf, xi)
+        assert forward == grid_propagator(p, 1.0, xi, xf)
 
 
 def test_grid_matrix_entries_match_scalar_calls():
     p = params_for(2.0)
     xfs, xis = (-0.5, 0.1, 0.7), (0.0, -0.3)
-    matrix = grid_propagator_matrix(p, 6.0, 1200, 0.6, xfs, xis)
+    matrix = grid_propagator_matrix(p, 0.6, xfs, xis)
     for row, xf in zip(matrix, xfs):
         for value, xi in zip(row, xis):
-            assert value == pytest.approx(grid_propagator(p, 6.0, 1200, 0.6, xf, xi), rel=1e-13)
+            assert value == pytest.approx(grid_propagator(p, 0.6, xf, xi), rel=1e-13)
 
 
 def test_grid_selected_eigenpairs_match_full_spectrum():
-    # Reference: every eigenpair of the same N = 1200 Hamiltonian, with the
-    # bilinear interpolation written out node by node.
+    # Reference: every eigenpair of the same one-grid Hamiltonian, with the
+    # 4-point Lagrange interpolation written out node by node.
     from scipy.linalg import eigh_tridiagonal
 
-    p, L, N, tau = params_for(2.0), 6.0, 1200, 1.0
-    dx = 2.0 * L / (N + 1)
-    xs = -L + dx * np.arange(1, N + 1)
+    p, L, dx, tau = params_for(2.0), 6.0, 0.01, 1.0
+    xs, selected, _ = _eigensystem(p, L, dx, tau)
     t0 = 1.0 / (dx * dx)
-    energies, vectors = eigh_tridiagonal(t0 + p.potential(xs), np.full(N - 1, -0.5 * t0))
+    energies, vectors = eigh_tridiagonal(t0 + p.potential(xs), np.full(len(xs) - 1, -0.5 * t0))
+    assert len(selected) < len(xs) // 10
     weights = np.exp(-energies * tau)
 
     def reference(xf, xi):
         total = 0.0
-        for jf, wf in _node_weights(xs, dx, xf):
-            for ji, wi in _node_weights(xs, dx, xi):
+        for jf, wf in _lagrange_weights(xs, dx, xf):
+            for ji, wi in _lagrange_weights(xs, dx, xi):
                 total += wf * wi * np.dot(weights * vectors[jf], vectors[ji]) / dx
         return total
 
-    points = (-0.5, -0.13, 0.0, 0.42, 1.7)
-    matrix = np.array(grid_propagator_matrix(p, L, N, tau, points, points))
-    assert len(_eigensystem(p, L, N, tau)[2]) < N // 10
+    points = np.array((-0.5, -0.13, 0.0, 0.42, 1.7))
+    matrix, _ = _grid_kernel(p, L, dx, tau, points)
     for a, xf in enumerate(points):
         for b, xi in enumerate(points):
             assert matrix[a, b] == pytest.approx(reference(xf, xi), rel=1e-10)
 
 
-def _node_weights(xs, dx, x):
-    j = int((x - xs[0]) / dx)
-    frac = (x - xs[j]) / dx
-    return ((j, 1.0 - frac), (j + 1, frac))
+def _lagrange_weights(xs, dx, x):
+    # (node index, weight) of the nodes j - 1 .. j + 2 around x = (j + t) dx
+    j = math.floor(x / dx)
+    stencil = range(j - 1, j + 3)
+    pairs = []
+    for n in stencil:
+        weight = 1.0
+        for other in stencil:
+            if other != n:
+                weight *= (x / dx - other) / (n - other)
+        pairs.append((n + len(xs) // 2, weight))
+    return pairs
 
 
-def test_grid_unresolved_entry_reports_the_finest_doubling():
+def test_grid_unresolved_entry_reports_its_spacing():
     # The tiny kernel at (0, 6) (about 6e-9 of a diagonal 0.4) sinks below
-    # its eigenvector roundoff floor: on the N = 9600 grid the floor, 7.6e-13,
-    # passes 1e-4 of the entry, so it is refused there, not refined further.
+    # its eigenvector roundoff floor: on the first halving, dx = 0.05, the
+    # floor, 3.5e-14, already passes 1e-6 of the entry, so it is refused
+    # there, not refined further.
     p = params_for(2.0)
-    matrix = grid_propagator_matrix(p, 11.0, 1200, 1.0, (0.0,), (0.0, 6.0))
+    matrix = grid_propagator_matrix(p, 1.0, (0.0,), (0.0, 6.0))
     assert matrix[0][0] > 0
     assert isinstance(matrix[0][1], ConvergenceError)
-    assert "N=9600 (started at N=1200)" in str(matrix[0][1])
+    assert "at dx=0.05," in str(matrix[0][1])
     assert "roundoff floor" in str(matrix[0][1])
+
+
+def test_oracle_imports_nothing_from_the_analytic_layer():
+    # The oracles are ground truth only while they share no code and no
+    # constant with the closed forms they check.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["coshbar" if node.level else "", node.module]))
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    analytic = {"coshbar.propagator", "coshbar.special"}
+    assert [name for name in imported if ".".join(name.split(".")[:2]) in analytic] == []
