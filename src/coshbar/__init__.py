@@ -16,13 +16,7 @@ from .errors import (
     PoleError,
     StepTooCoarseError,
 )
-from .oracle import (
-    SolverConfig,
-    grid_propagator,
-    grid_propagator_matrix,
-    numerov_amplitudes,
-    numerov_once,
-)
+from .oracle import grid_propagator, grid_propagator_matrix, numerov_amplitudes
 from .params import BarrierIndex, PhysicalParams, reduce
 from .propagator import KernelValue, free_kernel, spectral_kernel, spectral_kernel_matrix
 from .scattering import (
@@ -53,9 +47,7 @@ __all__ = [
     "wavefunctions",
     "wavefunction_samples",
     "asymptotic_extract",
-    "SolverConfig",
     "numerov_amplitudes",
-    "numerov_once",
     "grid_propagator",
     "grid_propagator_matrix",
     "KernelValue",

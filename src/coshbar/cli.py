@@ -11,7 +11,8 @@ verify        the suites of coshbar.verify (criteria and tolerances live there,
 Configuration comes from an optional JSON document (--config) overridden by
 flags; units default to hbar = m = 1 so users specify only (omega, v0, k).
 Each subcommand takes only the flags it reads (_COMMANDS, _FLAGS); verify
-reads only the units, omega and suite names; its oracles run at fixed settings.
+reads only the units, omega and suite names.  Neither oracle takes a
+setting: each picks its own grid.
 CSV output carries a fixed column order, 17 significant digits, '.' decimal
 separator and LF line endings, so identical configs give byte-identical
 files.  Rows are computed and written in input order; a scatter sweep is
@@ -28,13 +29,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__, verify
 from .errors import NumericalError
-from .oracle import SolverConfig, grid_propagator_matrix, numerov_amplitudes
+from .oracle import grid_propagator_matrix, numerov_amplitudes
 from .params import PhysicalParams, reduce
 from .propagator import spectral_kernel_matrix
 from .scattering import (
@@ -54,7 +55,7 @@ RESIDUAL_GATE = 1e-8
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One batch run: units, barrier, sweep, outputs, checks, oracle overrides."""
+    """One batch run: units, barrier, sweep, outputs, checks."""
 
     hbar: float = 1.0
     m: float = 1.0
@@ -68,7 +69,6 @@ class RunConfig:
     fmt: str = "csv"
     out: str | None = None
     checks: tuple[str, ...] = ()
-    oracle: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.fmt not in ("csv", "json"):
@@ -116,7 +116,7 @@ _range = _kind(list, "array", lambda values: _linspace(tuple(map(_number, values
 
 
 # The document's shape, section -> key -> conversion: the None section is the
-# document itself and the "oracle" section fills the SolverConfig.
+# document itself.
 _CONFIG_FIELDS = {
     "units": {"hbar": _number, "m": _number},
     "barrier": {"omega": _number, "v0": _number},
@@ -127,10 +127,6 @@ _CONFIG_FIELDS = {
     None: {
         "use_oracle": _kind(bool, "boolean"),
         "checks": _kind(list, "array", lambda values: tuple(map(_string, values))),
-    },
-    "oracle": {
-        "box_half_width": _number, "step": _number,
-        "match_tolerance": _number, "boundary_ratio_max": _number,
     },
 }
 # Keys stored under another field name; of two keys for one field the later wins.
@@ -147,7 +143,6 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ValueError("config document must be a JSON object")
     updates: dict = {}
-    oracle: dict = {}
     for section, keys in _CONFIG_FIELDS.items():
         fields = doc.get(section, {}) if section else doc
         if not isinstance(fields, dict):
@@ -157,15 +152,14 @@ def load_config(path: str) -> RunConfig:
             if key not in known:
                 where = f"{section}.{key}" if section else key
                 raise ValueError(f"config field {where!r} is not a known key")
-        target = oracle if section == "oracle" else updates
         for key, convert in keys.items():
             if key in fields:
                 try:
-                    target[_RENAMED.get(key, key)] = convert(fields[key])
+                    updates[_RENAMED.get(key, key)] = convert(fields[key])
                 except (TypeError, ValueError) as exc:
                     where = f"{section}.{key}" if section else key
                     raise ValueError(f"config field {where!r}: {exc}") from exc
-    return replace(RunConfig(), **updates, oracle=SolverConfig(**oracle))
+    return replace(RunConfig(), **updates)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +190,10 @@ def _fill_amplitudes(row: dict, t: complex, r: complex) -> None:
 
 def cmd_scatter(cfg: RunConfig) -> tuple[tuple[str, ...], list[dict], int]:
     """Sweep T/R/S over cfg.k_values.  Exit code 0 iff every unitarity
-    residual is below 1e-8 (numerical failures flag the row, exit 3).
+    residual is below 1e-8 (numerical failures flag the row, exit 3).  With
+    the oracle, oracle_dev is the larger relative deviation of its T and R
+    from the closed form; a row the oracle refuses keeps its closed-form
+    columns and is flagged with the oracle's error.
 
     All k > 0 rows are computed by one array call over kappa, and the
     closed-form S check runs once for the whole sweep."""
@@ -235,14 +232,14 @@ def cmd_scatter(cfg: RunConfig) -> tuple[tuple[str, ...], list[dict], int]:
             if not cfg.use_oracle:
                 continue
             try:
-                o = numerov_amplitudes(p, rows[i]["k"], cfg.oracle)
+                o = numerov_amplitudes(p, rows[i]["k"])
             except (NumericalError, ValueError) as exc:
-                rows[i] = _error_row(columns, exc, k=rows[i]["k"])
+                rows[i].update(dict.fromkeys(ORACLE_COLUMNS, math.nan), flag=f"error: {exc}")
                 continue
             rows[i].update(
                 oracle_re_t=o.t.real, oracle_im_t=o.t.imag,
                 oracle_re_r=o.r.real, oracle_im_r=o.r.imag,
-                oracle_dev=max(abs(o.t - t_i), abs(o.r - r_i)),
+                oracle_dev=max(abs(o.t - t_i) / abs(t_i), abs(o.r - r_i) / abs(r_i)),
             )
     if any(str(row["flag"]).startswith("error") for row in rows):
         code = 3
@@ -262,11 +259,12 @@ WAVEFUNCTION_COLUMNS = ("x", "re_psi_right", "im_psi_right", "re_psi_left", "im_
 
 def cmd_wavefunction(cfg: RunConfig) -> tuple[tuple[str, ...], list[dict], dict | None, int]:
     """Sample the right/left-moving wave functions on cfg.x_values at the
-    first sweep wavenumber.  When the grid reaches |omega x| >= 8 on both
+    one sweep wavenumber.  When the grid reaches |omega x| >= 8 on both
     sides, the asymptotic plane-wave fit and its deviation from the
     gamma-ratio amplitudes are reported alongside the table."""
-    if not cfg.k_values:
-        raise ValueError("wavefunction needs one wavenumber: give --k")
+    if len(cfg.k_values) != 1:
+        given = ", ".join(map(repr, cfg.k_values)) or "none"
+        raise ValueError(f"wavefunction needs one wavenumber: give one --k (got {given})")
     if not cfg.x_values:
         raise ValueError("wavefunction needs an x grid: give --x-range")
     k = cfg.k_values[0]

@@ -5,7 +5,9 @@ Two solvers that never touch the gamma-function results:
 * :func:`numerov_amplitudes` integrates the stationary Schrodinger equation
   psi'' = (2m/hbar^2)(V - E) psi with Numerov's fourth-order scheme from
   x = +L (seeded with the transmitted wave e^{ikx}) backward to x = -L and
-  reads off T = 1/A, R = B/A from a plane-wave match at the left edge.
+  reads off T = 1/A, R = B/A from a plane-wave match at the left edge.  It
+  picks its box and step itself from k and omega, and returns T and R each
+  within 1e-6 relative, or refuses the call naming the cause.
 
 * :func:`grid_propagator_matrix` (and its 1 x 1 case :func:`grid_propagator`)
   picks a box [-L, L] and a starting spacing dx from the points, tau and
@@ -38,14 +40,13 @@ Amplitudes are matched by least squares over a trailing window about one
 wavelength long (far better conditioned than a two-point solve at spacing
 h), at identical physical positions for the h and h/2 runs, and the
 returned values are Richardson-extrapolated; the h vs h/2 spread drives the
-step-too-coarse gate.
+step-too-coarse gates, and an R below the march's floor on R is refused.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
@@ -55,9 +56,7 @@ from .params import PhysicalParams
 from .scattering import Amplitudes, _fit_plane_waves
 
 __all__ = [
-    "SolverConfig",
     "numerov_amplitudes",
-    "numerov_once",
     "grid_propagator",
     "grid_propagator_matrix",
 ]
@@ -65,51 +64,14 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _MAX_STEPS = 20_000_000
+_RTOL = 1e-6  # largest relative error of a T or R the Numerov oracle returns
+_R_FLOOR = 1e-14  # bounds the |R| Numerov extrapolates at v0 = 0, where R = 0
+_BOUNDARY_RATIO = 1e-6  # largest V(L)/E at the Numerov box edge
 _BLOCK = 4096  # transfer matrices held at once by the Numerov march
 _GRID_RTOL = 1e-6  # largest change of a grid kernel entry between successive extrapolants
 _MAX_HALVINGS = 5  # finest grid spacing dx0/32
 _MAX_NODES = 1 << 16  # nodes of the finest grid; the eigensolve grows with them
 _LOG_CUTOFF = 16.0 * math.log(10.0)  # eigenpairs below 1e-16 Boltzmann weight are dropped
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Numerov solver configuration.
-
-    Unset geometry fields fall back to k- and omega-aware defaults:
-    L = max(10/omega, 10/k) and
-    h = min(2*pi/(40 k), 1/(40 omega), (1800*tol/(L k^5))^(1/4)),
-    i.e. 40 points per oscillation and per barrier width, capped so the
-    Richardson error estimate lands below match_tolerance.
-
-    boundary_ratio_max bounds V(L)/E: the plane-wave seed and match are only
-    valid where the barrier tail is negligible at the requested energy.
-    """
-
-    box_half_width: float | None = None
-    step: float | None = None
-    match_tolerance: float = 1e-6
-    boundary_ratio_max: float = 1e-6
-
-    def __post_init__(self):
-        if self.box_half_width is not None and not self.box_half_width > 0:
-            raise ValueError(f"box_half_width must be > 0, got {self.box_half_width}")
-        if self.step is not None and not self.step > 0:
-            raise ValueError(f"step must be > 0, got {self.step}")
-        if not 0 < self.match_tolerance < 1:
-            raise ValueError(f"match_tolerance must be in (0, 1), got {self.match_tolerance}")
-
-    def resolve(self, p: PhysicalParams, k: float) -> tuple[float, float]:
-        """Concrete (L, h) for this problem."""
-        L = self.box_half_width
-        if L is None:
-            L = max(10.0 / p.omega, 10.0 / k)
-        if self.step is not None:
-            h = self.step
-        else:
-            h_acc = (1800.0 * self.match_tolerance / (L * k**5)) ** 0.25
-            h = min(2.0 * math.pi / (40.0 * k), 1.0 / (40.0 * p.omega), h_acc)
-        return L, h
 
 
 def _potential_nodes(p: PhysicalParams, L: float, n_steps: int) -> np.ndarray:
@@ -227,77 +189,80 @@ def _match_edge(x, psi, k, idx) -> tuple[complex, complex]:
     return 1.0 / a_coef, b_coef / a_coef
 
 
-def numerov_once(p: PhysicalParams, k: float, cfg: SolverConfig | None = None) -> Amplitudes:
-    """Single-resolution Numerov solve (no Richardson machinery); exposes
-    the raw scheme for order studies."""
-    cfg = cfg or SolverConfig()
-    L, h = _prepare(p, k, cfg)
-    n = _even_steps(L, h)
-    idx = _window_indices(k, 2.0 * L / n, L, n)
-    x, psi = _march(k, L, _potential_nodes(p, L, n), idx[-1])
-    t, r = _match_edge(x, psi, k, idx)
-    return Amplitudes.build(k / p.omega, t, r)
+def _box_and_step(p: PhysicalParams, k: float) -> tuple[float, float]:
+    """The oracle's box half-width L and step h at wavenumber k:
+    L = max(16/omega, 10/k), grown until V(L)/E <= 1e-6 so the plane-wave
+    seed and match see a negligible barrier tail, and
+    h = min(2 pi/(40 k), 1/(40 omega), 0.012/k)."""
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"Numerov oracle requires k > 0, got {k!r}")
+    L = max(16.0 / p.omega, 10.0 / k)
+    energy = (p.hbar * k) ** 2 / (2.0 * p.m)
+    if float(p.potential(L)) > _BOUNDARY_RATIO * energy:
+        # where V's tail 4 V0 e^{-2 omega L}, which bounds V, falls to the bound
+        log_tail = math.log(4.0) + math.log(p.v0)
+        L = (log_tail - math.log(_BOUNDARY_RATIO * energy)) / (2.0 * p.omega)
+    return L, min(2.0 * math.pi / (40.0 * k), 1.0 / (40.0 * p.omega), 0.012 / k)
 
 
-def numerov_amplitudes(
-    p: PhysicalParams, k: float, cfg: SolverConfig | None = None
-) -> Amplitudes:
-    """Numerov T(k), R(k) with an h vs h/2 Richardson convergence gate.
-
-    Both resolutions are matched over the same physical window positions;
-    the returned amplitudes are the (16*fine - coarse)/15 extrapolation and
-    the pre-extrapolation spread / 15 (the standard error estimate of that
-    extrapolation) must not exceed cfg.match_tolerance.  V is evaluated once,
-    on the h/2 grid; the h grid takes every other node.
-
-    The gate is absolute, max(|dT|, |dR|) / 15, and T dominates it, so a
-    weak R can pass with a large relative error: with the default
-    SolverConfig at v8 = 0.1, k = 5 (|R| = 2.4e-8) the estimate is 4.5e-7
-    and the returned R is 3.6e-3 relative off the closed form.  `coshbar
-    verify` holds R to its 1e-6 relative residual only through the step
-    rule of verify._oracle_cfg_for (h = 0.012/k there: estimate 4.2e-10).
-    """
-    cfg = cfg or SolverConfig()
-    L, h = _prepare(p, k, cfg)
+def _extrapolants(p: PhysicalParams, k: float) -> tuple[complex, complex, float, float]:
+    """Richardson extrapolants T, R of the h and h/2 marches on the grid of
+    _box_and_step, and their error estimates |dT|/15, |dR|/15 from the
+    h vs h/2 spread.  Both runs are matched over the same physical window
+    positions; V is evaluated once, on the h/2 grid, and the h grid takes
+    every other node."""
+    L, h = _box_and_step(p, k)
     n = _even_steps(L, h)
     g = _potential_nodes(p, L, 2 * n)
     idx = _window_indices(k, 2.0 * L / n, L, n)
-    x, psi1 = _march(k, L, g[::2], idx[-1])
-    _, psi2 = _march(k, L, g, 2 * idx[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        x, psi1 = _march(k, L, g[::2], idx[-1])
+        _, psi2 = _march(k, L, g, 2 * idx[-1])
+    if not (np.isfinite(psi1).all() and np.isfinite(psi2).all()):
+        raise ConvergenceError(
+            f"Numerov wave function overflows at k={k}: the barrier is too strong "
+            f"for the oracle, 1/|T| is past the float range"
+        )
     t1, r1 = _match_edge(x, psi1, k, idx)
     t2, r2 = _match_edge(x, psi2[::2], k, idx)
-    estimate = max(abs(t1 - t2), abs(r1 - r2)) / 15.0
+    estimate_t, estimate_r = abs(t1 - t2) / 15.0, abs(r1 - r2) / 15.0
     logger.debug(
-        "Numerov at k=%g: n=%d and 2n=%d steps, Richardson error estimate %.3e "
-        "(match_tolerance %.1e)",
-        k,
-        n,
-        2 * n,
-        estimate,
-        cfg.match_tolerance,
+        "Numerov at k=%g: n=%d and 2n=%d steps, Richardson error estimate %.3e on T, %.3e on R",
+        k, n, 2 * n, estimate_t, estimate_r,
     )
-    if not estimate <= cfg.match_tolerance:
+    return (16.0 * t2 - t1) / 15.0, (16.0 * r2 - r1) / 15.0, estimate_t, estimate_r
+
+
+def numerov_amplitudes(p: PhysicalParams, k: float) -> Amplitudes:
+    """Numerov T(k), R(k), each within 1e-6 relative of the exact
+    amplitudes, or a NumericalError naming why the call cannot meet that.
+
+    The amplitudes are the Richardson extrapolants of _extrapolants.  The
+    call is refused with StepTooCoarseError when the error estimate exceeds
+    1e-6 |T| for T or 1e-6 for either amplitude, and with ConvergenceError
+    when the wave function overflows or |R| is below _R_FLOOR / 1e-6, where
+    the march's own floor on R would be more than 1e-6 of it (so every R is
+    refused at v0 = 0, where R = 0).  R has no relative gate on its
+    estimate: on this grid the estimate overstates the extrapolant's error
+    by a factor of about 300.
+    """
+    t, r, estimate_t, estimate_r = _extrapolants(p, k)
+    if not max(estimate_t, estimate_r) <= _RTOL:
         raise StepTooCoarseError(
-            f"Richardson h vs h/2 comparison estimates error {estimate:.3e} "
-            f"> match_tolerance {cfg.match_tolerance:.3e} at k={k}; reduce step"
+            f"Richardson h vs h/2 comparison estimates error "
+            f"{max(estimate_t, estimate_r):.3e} > {_RTOL:.0e} at k={k}"
         )
-    t = (16.0 * t2 - t1) / 15.0
-    r = (16.0 * r2 - r1) / 15.0
+    if not estimate_t <= _RTOL * abs(t):
+        raise StepTooCoarseError(
+            f"Richardson h vs h/2 comparison estimates T's error {estimate_t:.3e}, "
+            f"more than {_RTOL:.0e} of |T| = {abs(t):.3e} at k={k}"
+        )
+    if not abs(r) >= _R_FLOOR / _RTOL:
+        raise ConvergenceError(
+            f"|R| = {abs(r):.3e} at k={k} is below {_R_FLOOR / _RTOL:.0e}: the march's "
+            f"floor on R, {_R_FLOOR:.0e}, is more than {_RTOL:.0e} of it"
+        )
     return Amplitudes.build(k / p.omega, t, r)
-
-
-def _prepare(p: PhysicalParams, k: float, cfg: SolverConfig) -> tuple[float, float]:
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError(f"Numerov oracle requires k > 0, got {k!r}")
-    L, h = cfg.resolve(p, k)
-    energy = (p.hbar * k) ** 2 / (2.0 * p.m)
-    ratio = float(p.potential(L)) / energy
-    if ratio > cfg.boundary_ratio_max:
-        raise ValueError(
-            f"V(L)/E = {ratio:.3e} exceeds boundary_ratio_max "
-            f"{cfg.boundary_ratio_max:.1e}; enlarge box_half_width"
-        )
-    return L, h
 
 
 def _even_steps(L: float, h: float) -> int:

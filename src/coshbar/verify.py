@@ -2,19 +2,18 @@
 run by `coshbar verify` and by the acceptance tests.  A suite takes
 base = PhysicalParams(m, hbar, omega, v0=0.0) and returns cases {name,
 residual, tolerance, pass}; the barriers it checks are replace(base, v0=...),
-and the oracles run at fixed settings, so no run setting moves a criterion."""
+and the oracles pick their own grids, so no run setting moves a criterion."""
 
 from __future__ import annotations
 
 import cmath
 import itertools
-import math
 from dataclasses import replace
 
 import numpy as np
 
 from .errors import unwrap
-from .oracle import SolverConfig, grid_propagator_matrix, numerov_amplitudes
+from .oracle import grid_propagator_matrix, numerov_amplitudes
 from .params import PhysicalParams, reduce
 from .propagator import free_kernel, spectral_kernel, spectral_kernel_matrix
 from .scattering import _amplitude_arrays, _s_closed_form, amplitudes, connection_coefficients
@@ -123,19 +122,11 @@ def suite_delta_limit(_base: PhysicalParams) -> list[dict]:
     return cases
 
 
-def _oracle_cfg_for(omega: float, k: float) -> SolverConfig:
-    # Tight enough that even |R| ~ 1e-8 rows compare at 1e-6 relative.
-    return SolverConfig(
-        box_half_width=max(16.0 / omega, 10.0 / k),
-        step=min(2.0 * math.pi / (40.0 * k), 1.0 / (40.0 * omega), 0.012 / k),
-    )
-
-
 def suite_oracle(base: PhysicalParams) -> list[dict]:
     cases = []
     for tag, p, k, idx in _grid_indices(base):
         amp = amplitudes(idx)
-        o = numerov_amplitudes(p, k, _oracle_cfg_for(base.omega, k))
+        o = numerov_amplitudes(p, k)
         residual = max(
             abs(abs(o.t) - abs(amp.t)) / abs(amp.t),
             abs(cmath.phase(o.t / amp.t)),

@@ -87,6 +87,19 @@ def test_scatter_oracle_columns():
         assert row["oracle_dev"] < 1e-6
 
 
+def test_scatter_oracle_refusal_keeps_closed_form_columns(capsys):
+    # At v8 = 2, k = 10, |R| = 1.1e-13 sits below the oracle's floor on R:
+    # the oracle refuses, and the row keeps T, R and S but is flagged.
+    assert main(["scatter", "--oracle", "--v0", "0.25", "--k", "10", "--format", "json"]) == 3
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    amp = amplitudes(reduce(RunConfig(v0=0.25).params, 10.0))
+    assert complex(row["re_t"], row["im_t"]) == amp.t
+    assert complex(row["re_r"], row["im_r"]) == amp.r
+    assert complex(row["re_s"], row["im_s"]) == amp.s
+    assert all(math.isnan(row[col]) for col in ("oracle_re_r", "oracle_im_r", "oracle_dev"))
+    assert row["flag"].startswith("error: |R| = ") and "floor on R" in row["flag"]
+
+
 def test_scatter_unitarity_gate_and_exit_codes():
     cfg = RunConfig(v0=2.5, k_values=(0.3, 0.9, 2.0))
     _, rows, code = cmd_scatter(cfg)
@@ -111,6 +124,13 @@ def test_wavefunction_rows_and_parity():
         a, b = by_x[x], by_x[-x]
         assert a["re_psi_left"] == pytest.approx(b["re_psi_right"], abs=1e-15)
         assert a["im_psi_left"] == pytest.approx(b["im_psi_right"], abs=1e-15)
+
+
+def test_wavefunction_rejects_more_than_one_wavenumber(capsys):
+    # One table samples one k: a second --k is refused by name, not dropped.
+    assert main(["wavefunction", "--k", "1", "--k", "2", "--x-range=0:0:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coshbar: config error") and "(got 1.0, 2.0)" in err
 
 
 def test_wavefunction_free_constant_modulus():
@@ -268,16 +288,6 @@ def test_verify_single_suite_selection():
     assert [s["suite"] for s in report] == ["free-limit"]
 
 
-def test_verify_ignores_oracle_settings(tmp_path):
-    # The oracle suite runs the Numerov solver at its own box and step, so a
-    # config's oracle section (meant for scatter --oracle) cannot fail it.
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"checks": ["oracle"], "oracle": {"box_half_width": 16.0}}))
-    report, code = cmd_verify(load_config(str(path)))
-    assert code == 0
-    assert report == cmd_verify(RunConfig(checks=("oracle",)))[0]
-
-
 def test_readme_example_config_loads_and_verifies(tmp_path, monkeypatch, capsys):
     # verify reads no outputs section: the example's "path" is for scatter,
     # and the report goes to stdout.
@@ -320,7 +330,6 @@ def test_config_file_roundtrip(tmp_path):
         "barrier": {"omega": 1.5, "v0": 0.3},
         "sweep": {"k_range": [0.5, 2.0, 4]},
         "outputs": {"format": "json"},
-        "oracle": {"box_half_width": 14.0, "match_tolerance": 1e-7},
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
@@ -328,7 +337,6 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.hbar == 2.0 and cfg.m == 0.5
     assert cfg.omega == 1.5 and cfg.v0 == 0.3
     assert len(cfg.k_values) == 4 and cfg.fmt == "json"
-    assert cfg.oracle.box_half_width == 14.0
 
 
 def test_config_file_explicit_lists(tmp_path):
@@ -353,12 +361,12 @@ def test_config_file_explicit_lists(tmp_path):
         ({"units": [1]}, "units"),
         ({"barrier": {"v0": None}}, "barrier.v0"),
         ({"sweep": {"k_values": 3}}, "sweep.k_values"),
-        ({"oracle": {"step": "x"}}, "oracle.step"),
+        ({"oracle": {"step": 0.01}}, "oracle"),
         ({"sweep": {"k_values": "123"}}, "sweep.k_values"),
         ({"use_oracle": "false"}, "use_oracle"),
         ({"barrier": {"V0": 0.25}}, "barrier.V0"),
         ({"checks": "unitarity"}, "checks"),
-        ({"oracle": {"grid_points": 2400}}, "oracle.grid_points"),
+        ({"oracle": {}}, "oracle"),
         ({"barrier": {"v0": True}}, "barrier.v0"),
         ({"units": {"hbar": "2"}}, "units.hbar"),
         ({"propagator": {"points": ["0.5"]}}, "propagator.points"),
@@ -371,7 +379,8 @@ def test_malformed_config_field_is_a_config_error(doc, field, tmp_path, capsys):
     # Exit 1 is kept for residual failures: an unknown key, or a field of the
     # wrong JSON kind or shape, exits 2 with a message naming it, never a
     # traceback.  A string is no list, flag or number, a bool no number, and
-    # a range count no fraction.
+    # a range count no fraction.  The oracles take no settings, so an
+    # "oracle" section is an unknown key, even an empty one.
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
     assert main(["scatter", "--k", "1", "--config", str(path)]) == 2

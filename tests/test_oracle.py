@@ -8,32 +8,43 @@ import pytest
 
 from coshbar import (
     ConvergenceError,
+    NumericalError,
     PhysicalParams,
     StepTooCoarseError,
+    amplitudes,
     grid_propagator,
     numerov_amplitudes,
-    numerov_once,
     oracle,
     reduce,
     spectral_kernel,
 )
 from coshbar.oracle import (
-    SolverConfig,
+    _box_and_step,
     _eigensystem,
     _even_steps,
+    _extrapolants,
     _grid_kernel,
     _march,
     _match_edge,
     _potential_nodes,
-    _prepare,
     _window_indices,
     grid_propagator_matrix,
 )
-from coshbar.verify import _oracle_cfg_for
+
+# the sweep-oracle wavenumbers: 14 log-spaced k in [0.05, 10]
+SWEEP_K = np.geomspace(0.05, 10.0, 14)
 
 
 def params_for(v8, omega=1.0, m=1.0, hbar=1.0):
     return PhysicalParams(m=m, hbar=hbar, omega=omega, v0=v8 * (hbar * omega) ** 2 / (8 * m))
+
+
+def _once(p, k, L, h):
+    """T, R of one Numerov march on box L at step h, without Richardson."""
+    n = _even_steps(L, h)
+    idx = _window_indices(k, 2.0 * L / n, L, n)
+    x, psi = _march(k, L, _potential_nodes(p, L, n), idx[-1])
+    return _match_edge(x, psi, k, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -41,19 +52,44 @@ def params_for(v8, omega=1.0, m=1.0, hbar=1.0):
 # ---------------------------------------------------------------------------
 
 def test_free_case_is_exact_to_scheme_order():
+    # R = 0 exactly at v0 = 0, so the oracle refuses every R there; its
+    # extrapolants are T = 1 and R = 0 to the scheme's order.
     p = params_for(0.0)
-    amp = numerov_amplitudes(p, 1.0, SolverConfig(box_half_width=10.0, step=0.005))
-    assert abs(amp.t - 1.0) < 1e-10
-    assert abs(amp.r) < 1e-10
+    with pytest.raises(ConvergenceError, match="floor on R"):
+        numerov_amplitudes(p, 1.0)
+    t, r, _, _ = _extrapolants(p, 1.0)
+    assert abs(t - 1.0) < 1e-10
+    assert abs(r) < 1e-10
+
+
+def test_r_floor_is_the_free_barrier_floor():
+    # The |R| the extrapolants return at v0 = 0 is the scheme's own floor
+    # on R, which the oracle's refusal of small R rests on.
+    p = params_for(0.0)
+    assert max(abs(_extrapolants(p, k)[1]) for k in SWEEP_K) <= oracle._R_FLOOR
+
+
+@pytest.mark.parametrize("v8", [0.1, 2.0, 15.0])
+def test_numerov_returns_within_contract_or_refuses(v8):
+    # Every T and R returned is within 1e-6 relative of the closed form;
+    # at these strengths only an R below the floor's reach is refused.
+    p = params_for(v8)
+    for k in SWEEP_K:
+        ref = amplitudes(reduce(p, k))
+        try:
+            amp = numerov_amplitudes(p, k)
+        except NumericalError as exc:
+            assert isinstance(exc, ConvergenceError)
+            assert abs(ref.r) < 1.001 * oracle._R_FLOOR / oracle._RTOL
+            continue
+        assert abs(amp.t - ref.t) <= 1e-6 * abs(ref.t)
+        assert abs(amp.r - ref.r) <= 1e-6 * abs(ref.r)
 
 
 def test_scheme_order_is_four():
     # Raw (unextrapolated) error on the free case drops ~16x per halving.
     p = params_for(0.0)
-    errs = []
-    for h in (0.04, 0.02):
-        amp = numerov_once(p, 1.0, SolverConfig(box_half_width=10.0, step=h))
-        errs.append(abs(amp.t - 1.0))
+    errs = [abs(_once(p, 1.0, 10.0, h)[0] - 1.0) for h in (0.04, 0.02)]
     order = math.log2(errs[0] / errs[1])
     assert order >= 3.8
 
@@ -63,66 +99,62 @@ def test_delta_barrier_narrow_limit():
     g, k, om = 2.0, 1.0, 200.0
     p = PhysicalParams(m=1.0, hbar=1.0, omega=om, v0=g * om / 4.0)
     t_delta = 2 * k / (2 * k + 1j * g / 1.0)
-    amp = numerov_amplitudes(p, k, SolverConfig(box_half_width=10.0))
+    amp = numerov_amplitudes(p, k)
     assert abs(amp.t - t_delta) < 4.0 / om
 
 
 def test_oracle_flux_conservation_standalone():
     # |T|^2 + |R|^2 = 1 without reference to the analytic amplitudes.
     for v8, kappa in ((0.5, 0.7), (2.0, 1.0), (20.0, 2.0)):
-        p = params_for(v8)
-        amp = numerov_amplitudes(p, kappa, SolverConfig(box_half_width=16.0))
+        amp = numerov_amplitudes(params_for(v8), kappa)
         assert abs(amp.t2 + amp.r2 - 1.0) < 1e-8
 
 
 def test_matches_analytic_at_reference_point():
-    from coshbar import amplitudes
-
     p = params_for(2.0)
-    idx = reduce(p, 1.0)
-    ref = amplitudes(idx)
-    amp = numerov_amplitudes(p, 1.0, SolverConfig(box_half_width=16.0))
+    ref = amplitudes(reduce(p, 1.0))
+    amp = numerov_amplitudes(p, 1.0)
     assert abs(amp.t - ref.t) < 1e-6 * abs(ref.t)
     assert abs(amp.r - ref.r) < 1e-6 * abs(ref.r)
 
 
 def test_step_too_coarse_raises():
-    p = params_for(2.0)
-    with pytest.raises(StepTooCoarseError):
-        numerov_amplitudes(
-            p, 5.0, SolverConfig(box_half_width=16.0, step=0.3, match_tolerance=1e-9)
-        )
+    # At v8 = 1000, k = 0.5 (|T| = 1.3e-21) the h vs h/2 spread puts T's
+    # error estimate past 1e-6 |T| on the oracle's grid.
+    with pytest.raises(StepTooCoarseError, match="of \\|T\\|"):
+        numerov_amplitudes(params_for(1000.0), 0.5)
 
 
 def test_boundary_ratio_guard():
-    p = params_for(20.0)
-    with pytest.raises(ValueError):
-        numerov_amplitudes(p, 1.0, SolverConfig(box_half_width=3.0))
+    # The box grows until V(L)/E <= 1e-6 instead of refusing the call, and
+    # at v8 = 1e4, k = 1 (|T| ~ 1e-67) the oracle returns T and R within
+    # contract or refuses them; no setting of the call is at fault.
+    p = params_for(1e10)
+    L, _ = _box_and_step(p, 3.0)
+    assert L > 16.0 and float(p.potential(L)) <= 1e-6 * 4.5
+    with pytest.raises(ConvergenceError, match="too strong"):
+        numerov_amplitudes(p, 3.0)
+    p = params_for(1e4)
+    ref = amplitudes(reduce(p, 1.0))
+    try:
+        amp = numerov_amplitudes(p, 1.0)
+    except NumericalError:
+        return
+    assert abs(amp.t - ref.t) <= 1e-6 * abs(ref.t)
+    assert abs(amp.r - ref.r) <= 1e-6 * abs(ref.r)
 
 
 def test_amplitudes_k_is_kappa_on_every_path():
     # Amplitudes.k holds k/omega whether the closed form or Numerov built it.
-    from coshbar import amplitudes
-
     p = params_for(2.0, omega=2.0)
-    cfg = SolverConfig(box_half_width=10.0)
-    built = (amplitudes(reduce(p, 3.0)), numerov_once(p, 3.0, cfg), numerov_amplitudes(p, 3.0, cfg))
-    assert [amp.k for amp in built] == [1.5, 1.5, 1.5]
+    built = (amplitudes(reduce(p, 3.0)), numerov_amplitudes(p, 3.0))
+    assert [amp.k for amp in built] == [1.5, 1.5]
 
 
 def test_rejects_zero_wavenumber():
     p = params_for(1.0)
     with pytest.raises(ValueError):
         numerov_amplitudes(p, 0.0)
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(box_half_width=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(step=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(match_tolerance=2.0)
 
 
 def _sequential_march(p, k, L, n):
@@ -150,7 +182,7 @@ def _sequential_march(p, k, L, n):
 def _verify_grid(v8, kappa):
     """The coarse grid and match window of the verify oracle suite."""
     p = params_for(v8)
-    L, h = _prepare(p, kappa, _oracle_cfg_for(1.0, kappa))
+    L, h = _box_and_step(p, kappa)
     n = _even_steps(L, h)
     return p, L, n, _window_indices(kappa, 2.0 * L / n, L, n)
 
@@ -225,19 +257,18 @@ def test_march_past_stability_limit_raises():
     # Numerov's free step is a rotation only while k h < sqrt(6).
     p = params_for(2.0)
     with pytest.raises(StepTooCoarseError, match="stability limit"):
-        numerov_once(p, 1.0, SolverConfig(box_half_width=16.0, step=2.7))
+        _once(p, 1.0, 16.0, 2.7)
 
 
 def test_richardson_estimate_is_logged(caplog):
     p = params_for(2.0)
-    cfg = SolverConfig(box_half_width=16.0)
-    quiet = numerov_amplitudes(p, 1.0, cfg)
+    quiet = numerov_amplitudes(p, 1.0)
     with caplog.at_level(logging.DEBUG, logger="coshbar.oracle"):
-        logged = numerov_amplitudes(p, 1.0, cfg)
+        logged = numerov_amplitudes(p, 1.0)
     assert logged == quiet
     (record,) = [r for r in caplog.records if r.name == "coshbar.oracle"]
     assert record.levelno == logging.DEBUG
-    n = _even_steps(*cfg.resolve(p, 1.0))
+    n = _even_steps(*_box_and_step(p, 1.0))
     assert f"n={n} and 2n={2 * n} steps" in record.getMessage()
     assert "Richardson error estimate" in record.getMessage()
 

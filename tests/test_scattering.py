@@ -16,7 +16,6 @@ from coshbar import (
     wavefunction_samples,
     wavefunctions,
 )
-from coshbar.oracle import SolverConfig
 from coshbar.scattering import _s_closed_form
 from coshbar.special import log_gamma
 from coshbar.verify import KAPPA_GRID, SUITES, V8_GRID
@@ -94,7 +93,7 @@ def test_delta_barrier_limit_of_amplitudes():
 def test_amplitudes_match_numerov_oracle_at_reference_point():
     p, idx = index_of(2.0, 1.0)
     amp = amplitudes(idx)
-    orc = numerov_amplitudes(p, 1.0, SolverConfig(box_half_width=16.0))
+    orc = numerov_amplitudes(p, 1.0)
     assert abs(orc.t - amp.t) < 1e-6 * abs(amp.t)
     assert abs(orc.r - amp.r) < 1e-6 * abs(amp.r)
 
